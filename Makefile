@@ -9,7 +9,7 @@ BENCH_BASELINE ?= BENCH_2026-08-06.json
 # hardware differs from the baseline machine; locally 10% is realistic.
 BENCH_THRESHOLD ?= 0.10
 
-.PHONY: all build test check race stress vet fmt clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke chaos-smoke benchcheck bench-baseline
+.PHONY: all build test check race stress vet fmt clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke perf-smoke chaos-smoke benchcheck bench-baseline
 
 all: build
 
@@ -119,6 +119,21 @@ ctrl-smoke:
 		> ctrl-out/report.txt
 	$(GO) run ./cmd/probecheck -manifest ctrl-out/manifest.json \
 		-events ctrl-out/events.jsonl -require-terminal
+
+# perf-smoke runs the benchmark module's own tests, then every
+# benchmark workload once for a few seconds, and fails unless each JSON
+# result line reports "correct":true: every cell's job ledger balanced
+# and the fixed-seed analytic oracle held (see perfbench/README.md).
+perf-smoke:
+	cd perfbench && $(GO) test ./...
+	@for w in paper-base fleet500-jiq paper-faulted; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 5 --trace 0) || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | grep -q '^{' || { echo "perf-smoke: $$w printed no result line" >&2; exit 1; }; \
+		if echo "$$out" | grep '^{' | grep -vq '"correct":true'; then \
+			echo "perf-smoke: $$w did not report correct:true" >&2; exit 1; \
+		fi; \
+	done
 
 # chaos-smoke samples a bounded budget of composed fault scenarios
 # (faults x overload x drift x netfault) and checks every run against the

@@ -145,11 +145,16 @@ type nfEntry struct {
 // nfPending is a dispatcher- or client-side retransmit that fired while
 // the dispatcher was down, parked until restart. epoch is the job's
 // delivery epoch at parking time: a reclaim (overload timeout, failure
-// requeue) while parked supersedes the retransmit.
+// requeue) while parked supersedes the retransmit. tracked records, for
+// a parked backoff resend, whether the job had an outstanding entry at
+// parking time: if the restart's recovery then forgets that entry, the
+// recovery owns the job's re-dispatch (a client rescue, or nothing for
+// an accepted job) and the resend is dropped.
 type nfPending struct {
-	ref   sim.JobRef
-	id    int64
-	epoch int
+	ref     sim.JobRef
+	id      int64
+	epoch   int
+	tracked bool
 }
 
 // netfaultRun orchestrates the network-fault layer inside one Run. The
@@ -204,8 +209,9 @@ type netfaultRun struct {
 	downStart float64
 
 	outstanding   map[int64]*nfEntry
-	pendingRetry  []nfPending
-	pendingRescue []nfPending
+	pendingRetry  []nfPending // ack timers that expired while down
+	pendingResend []nfPending // backoff resends that fired while down
+	pendingRescue []nfPending // client rescues that fired while down
 	buffer        []*sim.Job
 	failCount     []int64
 
@@ -330,11 +336,7 @@ func (nf *netfaultRun) send(target int, j *sim.Job, tracked bool) {
 			continue
 		}
 		delivered++
-		delay := 0.0
-		if link.Latency != nil {
-			delay = link.Latency.Sample(st)
-		}
-		if delay > 0 {
+		if delay := link.SampleLatency(st); delay > 0 {
 			nf.inFlight[target]++
 			if nf.pb != nil {
 				nf.pb.SetLinkInFlight(now, target, nf.inFlight[target])
@@ -410,11 +412,7 @@ func (nf *netfaultRun) sendAck(target int, id int64, epoch int) {
 		}
 		return
 	}
-	delay := 0.0
-	if link.Latency != nil {
-		delay = link.Latency.Sample(nf.linkStreams[target])
-	}
-	if delay > 0 {
+	if delay := link.SampleLatency(nf.linkStreams[target]); delay > 0 {
 		nf.en.ScheduleAfter(delay, func() { nf.onAck(id, epoch) })
 	} else {
 		nf.onAck(id, epoch)
@@ -531,7 +529,8 @@ func (nf *netfaultRun) resubmit(j *sim.Job, cause string) {
 			return
 		}
 		if !nf.up {
-			nf.pendingRetry = append(nf.pendingRetry, nfPending{ref: ref, id: jj.ID, epoch: epoch})
+			_, tracked := nf.outstanding[jj.ID]
+			nf.pendingResend = append(nf.pendingResend, nfPending{ref: ref, id: jj.ID, epoch: epoch, tracked: tracked})
 			return
 		}
 		nf.redispatch(jj)
@@ -664,8 +663,8 @@ func (nf *netfaultRun) scheduleCheckpoints(dt float64) {
 
 // restart brings the dispatcher back: recover the Algorithm 2 state per
 // the configured policy, resolve the outstanding-dispatch table, drain
-// parked retransmits and client rescues, flush the downtime buffer, and
-// arm the next crash.
+// parked ack timeouts, backoff resends and client rescues, flush the
+// downtime buffer, and arm the next crash.
 func (nf *netfaultRun) restart() {
 	now := nf.en.Now()
 	nf.up = true
@@ -751,6 +750,24 @@ func (nf *netfaultRun) restart() {
 		if _, tracked := nf.outstanding[p.id]; tracked {
 			nf.resubmit(jj, "ack-timeout")
 		}
+	}
+
+	// Backoff resends that fired while down already spent their
+	// resubmission; they land now. A resend whose tracked entry the
+	// recovery forgot is covered by the recovery's own decision. An
+	// untracked one — a client rescue's or a failover job's retransmit —
+	// has nothing else that would ever re-dispatch it.
+	resend := nf.pendingResend
+	nf.pendingResend = nil
+	for _, p := range resend {
+		jj, ok := p.ref.Load()
+		if !ok || jj.Finalized || jj.Killed || jj.NetEpoch != p.epoch {
+			continue
+		}
+		if _, tracked := nf.outstanding[p.id]; p.tracked && !tracked {
+			continue
+		}
+		nf.redispatch(jj)
 	}
 
 	// Client retransmits that arrived while down land now.

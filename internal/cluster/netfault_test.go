@@ -9,6 +9,7 @@ import (
 	"heterosched/internal/dispatch"
 	"heterosched/internal/dist"
 	"heterosched/internal/netfault"
+	"heterosched/internal/rng"
 	"heterosched/internal/sched"
 	"heterosched/internal/sim"
 )
@@ -97,6 +98,43 @@ func TestNetfaultLatencyOnlyCompletesEveryJob(t *testing.T) {
 	nf := res.Netfault
 	if nf == nil || nf.Sent == 0 || nf.LostCopies != 0 || nf.DupCopies != 0 {
 		t.Errorf("unexpected netfault counters: %+v", nf)
+	}
+}
+
+// nonNegative wraps a latency distribution, clamping each sample at
+// zero itself.
+type nonNegative struct{ dist.Distribution }
+
+func (d nonNegative) Sample(st *rng.Stream) float64 { return math.Max(0, d.Distribution.Sample(st)) }
+
+// TestNetfaultNegativeLatencyDeliversImmediately: a programmatic
+// latency distribution with negative support ([-1, 1]) on the dispatch
+// links delivers its negative draws — dispatch copies and acks alike —
+// with zero delay. The run must be identical to one whose distribution
+// clamps at zero itself, and every job must complete.
+func TestNetfaultNegativeLatencyDeliversImmediately(t *testing.T) {
+	run := func(lat dist.Distribution) *cluster.Result {
+		cfg := netfaultTestConfig(&netfault.Config{
+			Link: netfault.Link{Latency: lat},
+			Ack:  netfault.Ack{Timeout: 30, Budget: 3, BackoffBase: 1, BackoffMax: 8},
+		})
+		led := attachLedger(t, &cfg)
+		res, err := cluster.Run(cfg, sched.ORR())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if led.counts[cluster.OutcomeCompleted] != res.GeneratedJobs {
+			t.Errorf("outcome mix %v for %d generated jobs, want all completed", led.counts, res.GeneratedJobs)
+		}
+		return res
+	}
+	u := dist.Uniform{Lo: -1, Hi: 1}
+	got, want := run(u), run(nonNegative{u})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("negative latency draws did not act as zero delay:\n%+v\nvs\n%+v", got, want)
+	}
+	if got.Netfault.Acked == 0 || got.Netfault.AckTimeouts != 0 {
+		t.Errorf("ack loop: %+v", got.Netfault)
 	}
 }
 

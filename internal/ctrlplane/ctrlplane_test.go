@@ -84,7 +84,7 @@ func TestTokenDeliveryAndLoss(t *testing.T) {
 	en, p, _ := newPlane(t, cfg, 2)
 	delivered := 0
 	for i := 0; i < 200; i++ {
-		p.SendToken(0, func(expiry float64) bool { delivered++; return true })
+		p.SendToken(0, 0, func(_, _ int, expiry float64) bool { delivered++; return true })
 	}
 	en.RunUntil(1e5)
 	st := p.Finish()
@@ -107,7 +107,7 @@ func TestTokenDupAndDedup(t *testing.T) {
 	cfg := &Config{Link: netfault.Link{Dup: 1}, Lease: 0, QueryTO: 0}
 	en, p, _ := newPlane(t, cfg, 1)
 	has := false
-	p.SendToken(0, func(expiry float64) bool {
+	p.SendToken(0, 0, func(_, _ int, expiry float64) bool {
 		if has {
 			return false
 		}
@@ -128,7 +128,7 @@ func TestTokenLeaseExpiryStamp(t *testing.T) {
 	cfg := &Config{Link: netfault.Link{Latency: dist.Deterministic{Value: 3}}, Lease: 100}
 	en, p, _ := newPlane(t, cfg, 1)
 	var gotExpiry float64
-	p.SendToken(0, func(expiry float64) bool { gotExpiry = expiry; return true })
+	p.SendToken(0, 0, func(_, _ int, expiry float64) bool { gotExpiry = expiry; return true })
 	en.RunUntil(10)
 	if gotExpiry != 103 {
 		t.Fatalf("expiry = %g, want delivery(3) + lease(100) = 103", gotExpiry)
@@ -138,9 +138,9 @@ func TestTokenLeaseExpiryStamp(t *testing.T) {
 func TestTokenPartitionBlocksSend(t *testing.T) {
 	cfg := &Config{QueryTO: 5, Partitions: []netfault.Partition{{From: 0, To: 10, Links: []int{0}}}}
 	en, p, _ := newPlane(t, cfg, 2)
-	p.SendToken(0, func(float64) bool { t.Fatal("token crossed a cut link"); return false })
+	p.SendToken(0, 0, func(int, int, float64) bool { t.Fatal("token crossed a cut link"); return false })
 	ok := false
-	p.SendToken(1, func(float64) bool { ok = true; return true })
+	p.SendToken(1, 0, func(int, int, float64) bool { ok = true; return true })
 	en.RunUntil(1)
 	if !ok {
 		t.Fatal("uncut link must deliver")
@@ -309,7 +309,7 @@ func TestDeterministicReplay(t *testing.T) {
 		p.BindSource(src)
 		v0, v1 := p.View(0), p.View(1)
 		for i := 0; i < 50; i++ {
-			p.SendToken(i%3, func(float64) bool { return i%2 == 0 })
+			p.SendToken(i%3, 0, func(int, int, float64) bool { return i%2 == 0 })
 			p.BeginDecision()
 			v0.QueueLen(i % 3)
 			p.EndDecision(0)

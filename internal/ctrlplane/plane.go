@@ -85,6 +85,7 @@ type Plane struct {
 	decProbes   int
 
 	inFlight int
+	free     []*msg // recycled in-flight messages
 	extant   func() int64
 	stats    Stats
 }
@@ -196,21 +197,73 @@ func cutBy(parts []netfault.Partition, idx int, t float64) bool {
 	return false
 }
 
-func drawLatency(l netfault.Link, st *rng.Stream) float64 {
-	if l.Latency == nil {
-		return 0
-	}
-	if d := l.Latency.Sample(st); d > 0 {
-		return d
-	}
-	return 0
+// TokenSink receives one delivered copy of computer i's idle-token
+// report addressed to replica k, with the token's lease expiry (0 when
+// leases are off). It reports whether the replica accepted the token
+// (false = dedup). Callers bind their sink once and pass the same func
+// value to every SendToken.
+type TokenSink func(i, k int, expiry float64) bool
+
+// msg is one control message in transit: a token copy (sink set) or a
+// late query reply (sink nil). Messages are recycled through the
+// plane's free list, and fire is bound once when a message is first
+// built, so a steady-state send allocates nothing — the JobArena
+// pattern applied to control traffic.
+type msg struct {
+	i, k int
+	// For a token: t is the lease expiry. For a reply: val is the
+	// computer's queue length and t the time the probe read it.
+	t    float64
+	val  int
+	sink TokenSink
+	fire func()
 }
 
-// SendToken carries computer i's idle-token report over its control
-// link. Each surviving copy invokes deliver at its arrival time with
-// the token's lease expiry (0 when leases are off); deliver reports
-// whether the receiving replica accepted the token (false = dedup).
-func (p *Plane) SendToken(i int, deliver func(expiry float64) bool) {
+// send schedules a recycled message to land after delay.
+func (p *Plane) send(delay float64, i, k int, t float64, val int, sink TokenSink) {
+	var m *msg
+	if n := len(p.free); n > 0 {
+		m = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		m = &msg{}
+		m.fire = func() { p.land(m) }
+	}
+	m.i, m.k, m.t, m.val, m.sink = i, k, t, val, sink
+	p.addInFlight(p.en.Now(), 1)
+	p.en.ScheduleAfter(delay, m.fire)
+}
+
+// land delivers a message at its arrival time and recycles it.
+func (p *Plane) land(m *msg) {
+	i, k, t, val, sink := m.i, m.k, m.t, m.val, m.sink
+	m.sink = nil
+	p.free = append(p.free, m)
+	now := p.en.Now()
+	p.addInFlight(now, -1)
+	if sink == nil {
+		// A late reply only refreshes the cache, and only if nothing
+		// fresher landed meanwhile.
+		if stamp := p.qstamp[k][i]; math.IsNaN(stamp) || t > stamp {
+			p.qlen[k][i] = val
+			p.qstamp[k][i] = t
+		}
+		return
+	}
+	p.stats.TokensDelivered++
+	if sink(i, k, t) {
+		p.stats.TokensAccepted++
+		p.event(now, MsgTokenReport, i, "accept", t)
+	} else {
+		p.stats.TokensDeduped++
+		p.event(now, MsgTokenReport, i, "dedup", t)
+	}
+}
+
+// SendToken carries computer i's idle-token report for replica k over
+// the computer's control link. Each surviving copy invokes deliver at
+// its arrival time with the token's lease expiry.
+func (p *Plane) SendToken(i, k int, deliver TokenSink) {
 	p.stats.TokensSent++
 	now := p.en.Now()
 	if p.linkCut(i, now) {
@@ -226,7 +279,7 @@ func (p *Plane) SendToken(i int, deliver func(expiry float64) bool) {
 	}
 	for c := 0; c < copies; c++ {
 		lost := l.Loss > 0 && st.Float64() < l.Loss
-		lat := drawLatency(l, st)
+		lat := l.SampleLatency(st)
 		if lost {
 			p.stats.TokensLost++
 			continue
@@ -235,19 +288,7 @@ func (p *Plane) SendToken(i int, deliver func(expiry float64) bool) {
 		if p.cfg.Lease > 0 {
 			expiry = now + lat + p.cfg.Lease
 		}
-		p.addInFlight(now, 1)
-		p.en.ScheduleAfter(lat, func() {
-			t := p.en.Now()
-			p.addInFlight(t, -1)
-			p.stats.TokensDelivered++
-			if deliver(expiry) {
-				p.stats.TokensAccepted++
-				p.event(t, MsgTokenReport, i, "accept", expiry)
-			} else {
-				p.stats.TokensDeduped++
-				p.event(t, MsgTokenReport, i, "dedup", expiry)
-			}
-		})
+		p.send(lat, i, k, expiry, 0, deliver)
 	}
 }
 
@@ -348,10 +389,7 @@ func (p *Plane) query(k, i int) int {
 		repLost := st.Float64() < l.Loss
 		lost = reqLost || repLost
 	}
-	rtt := 0.0
-	if l.Latency != nil {
-		rtt = drawLatency(l, st) + drawLatency(l, st)
-	}
+	rtt := l.SampleLatency(st) + l.SampleLatency(st)
 	if lost {
 		p.stats.QueriesLost++
 		p.decDegraded = true
@@ -364,15 +402,7 @@ func (p *Plane) query(k, i int) int {
 	if p.cfg.QueryTO > 0 && rtt > p.cfg.QueryTO {
 		p.stats.QueriesLate++
 		p.decDegraded = true
-		p.addInFlight(now, 1)
-		p.en.ScheduleAfter(rtt, func() {
-			t := p.en.Now()
-			p.addInFlight(t, -1)
-			if stamp := p.qstamp[k][i]; math.IsNaN(stamp) || now > stamp {
-				p.qlen[k][i] = val
-				p.qstamp[k][i] = now
-			}
-		})
+		p.send(rtt, i, k, now, val, nil)
 		return p.cached(k, i, now)
 	}
 	p.qlen[k][i] = val
@@ -416,7 +446,7 @@ func (p *Plane) SendSync(from, to int, deliver func()) {
 	}
 	for c := 0; c < copies; c++ {
 		lost := l.Loss > 0 && st.Float64() < l.Loss
-		lat := drawLatency(l, st)
+		lat := l.SampleLatency(st)
 		if lost {
 			p.stats.SyncLost++
 			continue

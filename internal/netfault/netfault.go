@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"heterosched/internal/dist"
+	"heterosched/internal/rng"
 )
 
 // Link is the fault model for one dispatcher→computer link. The zero
@@ -47,6 +48,20 @@ func (l Link) perfect() bool { return l.Latency == nil && l.Loss == 0 && l.Dup =
 // zero latency, no loss, no duplication. Exported for reuse by the
 // ctrlplane layer, which models control links with the same type.
 func (l Link) Perfect() bool { return l.perfect() }
+
+// SampleLatency draws one transit delay from st: zero for a link
+// without a latency distribution, and negative samples (possible with a
+// programmatic distribution whose support dips below zero) clamped to
+// zero. Every dispatch, ack and control message draws its delay here.
+func (l Link) SampleLatency(st *rng.Stream) float64 {
+	if l.Latency == nil {
+		return 0
+	}
+	if d := l.Latency.Sample(st); d > 0 {
+		return d
+	}
+	return 0
+}
 
 // Validate checks the link's parameters, labelling errors with name.
 func (l Link) Validate(name string) error { return l.validate(name) }

@@ -5,7 +5,40 @@ import (
 	"testing"
 
 	"heterosched/internal/dist"
+	"heterosched/internal/rng"
 )
+
+// TestSampleLatencyClampsNegative: a latency distribution whose support
+// dips below zero yields zero delay for its negative samples and the
+// sample itself otherwise, consuming exactly one draw either way; a
+// link without latency draws nothing.
+func TestSampleLatencyClampsNegative(t *testing.T) {
+	u := dist.Uniform{Lo: -1, Hi: 1}
+	l := Link{Latency: u}
+	got, want := rng.New(3), rng.New(3)
+	negatives := 0
+	for i := 0; i < 1000; i++ {
+		d := l.SampleLatency(got)
+		raw := u.Sample(want)
+		if raw < 0 {
+			negatives++
+			raw = 0
+		}
+		if d != raw {
+			t.Fatalf("draw %d: SampleLatency = %v, want %v", i, d, raw)
+		}
+	}
+	if negatives == 0 {
+		t.Fatal("no negative samples drawn; the clamp went untested")
+	}
+	st := rng.New(3)
+	if d := (Link{}).SampleLatency(st); d != 0 {
+		t.Fatalf("link without latency: delay %v", d)
+	}
+	if st.Float64() != rng.New(3).Float64() {
+		t.Fatal("link without latency consumed a draw")
+	}
+}
 
 func TestEnabled(t *testing.T) {
 	var nilCfg *Config

@@ -1,11 +1,13 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 
 	"heterosched/internal/cluster"
 	"heterosched/internal/ctrlplane"
 	"heterosched/internal/dispatch"
+	"heterosched/internal/dist"
 	"heterosched/internal/netfault"
 	"heterosched/internal/rng"
 	"heterosched/internal/sim"
@@ -223,5 +225,144 @@ func TestStaticSyncMonotonicRejoin(t *testing.T) {
 	}
 	if int64(s.Syncs()) != cs.SyncApplied {
 		t.Errorf("policy counted %d applied frames, ledger says %d", s.Syncs(), cs.SyncApplied)
+	}
+}
+
+// jiqCtrlConfig is a lossy, leased control plane with a query timeout:
+// the fleet500-jiq benchmark's control links.
+func jiqCtrlConfig() *ctrlplane.Config {
+	return &ctrlplane.Config{
+		Link:    netfault.Link{Loss: 0.25, Latency: dist.Exponential{MeanVal: 1}},
+		Lease:   5,
+		QueryTO: 8,
+	}
+}
+
+// TestJIQCtrlTokenPathZeroAlloc locks the allocation-free control-plane
+// token path: once warmed up, a JIQ policy over K=4 replicas on a lossy,
+// leased control plane sends idle tokens, renews leases, lands token
+// copies and late query replies, and pops tokens without a single heap
+// allocation per engine event. A minimal harness stands in for the
+// cluster: Poisson arrivals routed by Select, per-computer FIFO
+// exponential service reporting Departed, all callbacks bound once.
+func TestJIQCtrlTokenPathZeroAlloc(t *testing.T) {
+	const n = 48
+	speeds := make([]float64, n)
+	for i := range speeds {
+		speeds[i] = []float64{1, 1, 2, 10}[i%4]
+	}
+	en := &sim.Engine{}
+	p := JIQ()
+	p.Dispatchers = 4
+	p.ShardBy = dispatch.ShardHash
+	ctx := &cluster.Context{Engine: en, Speeds: speeds, Utilization: 0.7, Lambda: 1, Mu: 1, RNG: rng.New(3), Horizon: 1e9}
+	if err := p.Init(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cfg := jiqCtrlConfig()
+	if err := cfg.Validate(n, 4); err != nil {
+		t.Fatal(err)
+	}
+	plane := ctrlplane.NewPlane(en, cfg, n, rng.New(4), 1e9)
+	view := make(fakeState, n)
+	plane.BindSource(view)
+	p.BindCtrl(plane)
+	p.BindState(view)
+
+	total := 0.0
+	for _, s := range speeds {
+		total += s
+	}
+	st := rng.New(5)
+	gap := 1 / (0.7 * total) // unit-mean work per job: ρ ≈ 0.7
+	job := &sim.Job{}
+	var id int64
+	depart := make([]func(), n)
+	for i := range depart {
+		depart[i] = func() {
+			view[i]--
+			job.Target = i
+			p.Departed(job)
+			if view[i] > 0 {
+				en.ScheduleAfter(st.Exp(1/speeds[i]), depart[i])
+			}
+		}
+	}
+	var arrive func()
+	arrive = func() {
+		id++
+		job.ID = id
+		i := p.Select(job)
+		p.TakeDecisionCost()
+		if view[i]++; view[i] == 1 {
+			en.ScheduleAfter(st.Exp(1/speeds[i]), depart[i])
+		}
+		en.ScheduleAfter(st.Exp(gap), arrive)
+	}
+	en.ScheduleAfter(st.Exp(gap), arrive)
+	for i := 0; i < 200000; i++ {
+		en.Step()
+	}
+	stats := plane.Finish()
+	if stats.TokensLost == 0 || stats.TokensSpent == 0 || stats.QueriesLate == 0 {
+		t.Fatalf("warm-up did not exercise the token path: %+v", stats)
+	}
+	// AllocsPerRun truncates its average to an integer, so each run is
+	// a batch of events: one allocation anywhere in a batch fails.
+	const batch = 1000
+	if allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < batch; i++ {
+			en.Step()
+		}
+	}); allocs != 0 {
+		t.Fatalf("control-plane token path allocates %v times per %d events, want 0", allocs, batch)
+	}
+}
+
+// TestScalableRebindMatchesFresh runs one JIQ policy value twice on a
+// lossy leased control plane: the second run (fresh engine, fresh plane)
+// must produce a Result deeply equal to a freshly built policy's. The
+// token sink and per-computer renewal callbacks are bound at BindCtrl,
+// the plane's message free list is per run, and Init resets the
+// round-robin token cursor; a callback, message or cursor kept from the
+// first run would show up here.
+func TestScalableRebindMatchesFresh(t *testing.T) {
+	speeds := make([]float64, 48)
+	for i := range speeds {
+		speeds[i] = []float64{1, 1, 2, 10}[i%4]
+	}
+	cfg := cluster.Config{
+		Speeds:      speeds,
+		Utilization: 0.7,
+		Duration:    2e3,
+		Seed:        9,
+		Ctrl:        jiqCtrlConfig(),
+	}
+	mk := func() *Scalable {
+		p := JIQ()
+		p.Dispatchers = 4
+		p.ShardBy = dispatch.ShardHash
+		return p
+	}
+	reused := mk()
+	first, err := cluster.Run(cfg, reused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg2 := cfg
+	cfg2.Seed = 10
+	second, err := cluster.Run(cfg2, reused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := cluster.Run(cfg2, mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(first, second) {
+		t.Fatal("runs at different seeds gave identical results; the comparison proves nothing")
+	}
+	if !reflect.DeepEqual(second, fresh) {
+		t.Errorf("rebound policy diverged from a fresh one:\n rebound %+v\n fresh   %+v", second, fresh)
 	}
 }

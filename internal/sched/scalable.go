@@ -67,6 +67,11 @@ type Scalable struct {
 	// computer (a Departed re-report while a chain is live).
 	renewPending []bool
 	pendingCost  float64
+	// tokenSink and renew[i] are the token path's callbacks, bound once
+	// in BindCtrl: the plane's delivery sink and computer i's
+	// lease-renewal timer.
+	tokenSink ctrlplane.TokenSink
+	renew     []func()
 }
 
 var (
@@ -180,6 +185,7 @@ func (s *Scalable) Init(ctx *cluster.Context) error {
 	}
 	s.sharded = sh
 	s.jiqs = nil
+	s.tokenRR = 0
 	s.prevUp = nil
 	s.plane = nil
 	s.pendingCost = 0
@@ -205,6 +211,13 @@ func (s *Scalable) BindCtrl(p *ctrlplane.Plane) {
 		n := len(s.ctx.Speeds)
 		s.tokenHome = make([]int, n)
 		s.renewPending = make([]bool, n)
+		// Bind the token path's callbacks once per run, so a token send
+		// and a lease renewal build no closures.
+		s.tokenSink = s.acceptToken
+		s.renew = make([]func(), n)
+		for i := range s.renew {
+			s.renew[i] = func() { s.renewLease(i) }
+		}
 		for _, q := range s.jiqs {
 			q.SetClock(p.Now)
 			q.SetTokenHooks(p.NoteTokenSpend, p.NoteTokenExpire, p.NoteTokenDiscard)
@@ -265,10 +278,7 @@ func (s *Scalable) reportIdle(i int) {
 // sendToken ships computer i's idle report to replica k over the
 // control plane and arms the lease-renewal chain.
 func (s *Scalable) sendToken(i, k int) {
-	q := s.jiqs[k]
-	s.plane.SendToken(i, func(expiry float64) bool {
-		return q.ReportIdleLease(i, expiry)
-	})
+	s.plane.SendToken(i, k, s.tokenSink)
 	lease := s.plane.Lease()
 	if lease <= 0 || s.renewPending[i] {
 		return
@@ -278,16 +288,25 @@ func (s *Scalable) sendToken(i, k int) {
 		return
 	}
 	s.renewPending[i] = true
-	en.ScheduleAfter(lease, func() {
-		s.renewPending[i] = false
-		// Re-report only while the computer is still idle (its own
-		// ground truth, not the dispatcher's view) and to the same
-		// replica, so an undelivered or expired token is replaced and a
-		// live one merely has its lease refreshed by the dedup.
-		if s.view != nil && s.view.QueueLen(i) == 0 {
-			s.sendToken(i, s.tokenHome[i])
-		}
-	})
+	en.ScheduleAfter(lease, s.renew[i])
+}
+
+// acceptToken is the policy's token sink: a delivered report lands in
+// replica k's idle list (false = deduplicated).
+func (s *Scalable) acceptToken(i, k int, expiry float64) bool {
+	return s.jiqs[k].ReportIdleLease(i, expiry)
+}
+
+// renewLease fires computer i's lease-renewal timer.
+func (s *Scalable) renewLease(i int) {
+	s.renewPending[i] = false
+	// Re-report only while the computer is still idle (its own ground
+	// truth, not the dispatcher's view) and to the same replica, so an
+	// undelivered or expired token is replaced and a live one merely has
+	// its lease refreshed by the dedup.
+	if s.view != nil && s.view.QueueLen(i) == 0 {
+		s.sendToken(i, s.tokenHome[i])
+	}
 }
 
 // Select routes the arrival to a dispatcher replica and delegates the

@@ -11,13 +11,16 @@
 // a contrast discipline.
 //
 // The engine stores its pending events in a slab: a flat []eventSlot
-// indexed by a 4-ary min-heap of slot indices, with freed slots kept on a
-// free list for reuse. Steady-state Schedule/Cancel/Reschedule therefore
-// perform no heap allocations (see TestScheduleCancelZeroAlloc), and event
-// handles are small values carrying a generation number that detects
-// use-after-free: acting on a handle whose slot has been recycled is
-// either a safe no-op (Cancel) or a generation-mismatch panic
-// (Reschedule).
+// indexed by a 4-ary min-heap whose nodes carry each event's (time, seq)
+// ordering key inline beside its slot index. Sifting compares the
+// contiguous heap nodes and touches the slab only to update the moved
+// nodes' back-pointers; it moves a hole instead of swapping at every
+// level. Freed slots are kept on a free list for reuse, so steady-state
+// Schedule/Cancel/Reschedule perform no heap allocations (see
+// TestScheduleCancelZeroAlloc). Event handles are small values carrying
+// a generation number that detects use-after-free: acting on a handle
+// whose slot has been recycled is either a safe no-op (Cancel) or a
+// generation-mismatch panic (Reschedule).
 package sim
 
 import (
@@ -25,8 +28,9 @@ import (
 	"math"
 )
 
-// eventSlot is one slab entry: the scheduled callback plus the heap
-// bookkeeping. Slots are recycled through the engine's free list; gen
+// eventSlot is one slab entry: the scheduled callback, its (time, seq)
+// key (mirrored inline in the slot's heap node) and the heap
+// back-pointer. Slots are recycled through the engine's free list; gen
 // increments at every release so stale Event handles are detectable.
 type eventSlot struct {
 	time float64
@@ -87,7 +91,7 @@ type Engine struct {
 	now    float64
 	seq    uint64
 	events []eventSlot // slab; heap and free hold indices into it
-	heap   []int32     // 4-ary min-heap on (time, seq)
+	heap   []heapNode  // 4-ary min-heap on the inline (time, seq) keys
 	free   []int32     // released slots available for reuse
 	fired  uint64
 	popped uint64
@@ -140,7 +144,8 @@ func (en *Engine) Schedule(t float64, fn func()) Event {
 	sl.seq = en.seq
 	sl.fn = fn
 	en.seq++
-	en.heapPush(idx)
+	en.heap = append(en.heap, heapNode{})
+	en.up(int32(len(en.heap)-1), heapNode{time: t, seq: sl.seq, slot: idx})
 	return Event{en: en, slot: idx + 1, gen: sl.gen, time: t}
 }
 
@@ -175,8 +180,7 @@ func (en *Engine) Reschedule(e Event, t float64) Event {
 	en.seq++
 	// The new (time, seq) may order either way relative to the old key;
 	// restore heap order from the event's current position.
-	en.down(sl.pos)
-	en.up(sl.pos)
+	en.fix(sl.pos, heapNode{time: t, seq: sl.seq, slot: e.slot - 1})
 	e.time = t
 	return e
 }
@@ -186,11 +190,17 @@ func (en *Engine) Step() bool {
 	if len(en.heap) == 0 {
 		return false
 	}
-	idx := en.heap[0]
-	sl := &en.events[idx]
-	en.now = sl.time
-	fn := sl.fn
-	en.heapRemove(0)
+	top := en.heap[0]
+	idx := top.slot
+	en.now = top.time
+	fn := en.events[idx].fn
+	// Pop: the last node refills the root's hole and sifts down.
+	last := len(en.heap) - 1
+	nd := en.heap[last]
+	en.heap = en.heap[:last]
+	if last > 0 {
+		en.down(0, nd)
+	}
 	// Release before the callback: the slot is reusable by anything fn
 	// schedules, and the handle held by fn's owner is already stale.
 	en.release(idx)
@@ -206,7 +216,7 @@ func (en *Engine) Step() bool {
 // the clock parked exactly at the horizon can call AdvanceTo.
 func (en *Engine) RunUntil(horizon float64) {
 	for len(en.heap) > 0 {
-		if en.events[en.heap[0]].time > horizon {
+		if en.heap[0].time > horizon {
 			return
 		}
 		en.Step()
@@ -219,64 +229,79 @@ func (en *Engine) AdvanceTo(t float64) {
 	if t < en.now {
 		panic(fmt.Sprintf("sim: AdvanceTo into the past (t=%v, now=%v)", t, en.now))
 	}
-	if len(en.heap) > 0 && en.events[en.heap[0]].time < t {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) would skip event at %v", t, en.events[en.heap[0]].time))
+	if len(en.heap) > 0 && en.heap[0].time < t {
+		panic(fmt.Sprintf("sim: AdvanceTo(%v) would skip event at %v", t, en.heap[0].time))
 	}
 	en.now = t
 }
 
-// less orders slab slots by time, then schedule order (FIFO among ties).
-func (en *Engine) less(a, b int32) bool {
-	sa, sb := &en.events[a], &en.events[b]
-	if sa.time != sb.time {
-		return sa.time < sb.time
-	}
-	return sa.seq < sb.seq
+// heapNode is one entry of the future-event heap: the event's ordering
+// key stored inline beside its slab index, so sifting compares
+// contiguous heap memory instead of chasing each node into the slab.
+type heapNode struct {
+	time float64
+	seq  uint64
+	slot int32
 }
 
-// The pending-event set is a 4-ary implicit heap over slab indices. A
-// wider node costs more comparisons per level but halves the depth and
+// before orders heap nodes by time, then schedule order (FIFO among
+// ties). Sequence numbers are unique, so the order is total.
+func (a *heapNode) before(b *heapNode) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	return a.seq < b.seq
+}
+
+// The pending-event set is a 4-ary implicit heap of heapNodes. A wider
+// node costs more comparisons per level but halves the depth and
 // touches fewer cache lines than the classic binary heap — the standard
 // trade for DES future-event lists, where Schedule (sift-up) dominates
-// and most events fire near the front.
+// and most events fire near the front. Both sifts move a hole rather
+// than swapping at every level: each displaced node is written once,
+// the sifted node once at the end.
 
-func (en *Engine) heapPush(idx int32) {
-	i := int32(len(en.heap))
-	en.heap = append(en.heap, idx)
-	en.events[idx].pos = i
-	en.up(i)
-}
-
-// heapRemove deletes the element at heap position i.
+// heapRemove deletes the node at heap position i, refilling the hole
+// with the last node.
 func (en *Engine) heapRemove(i int32) {
-	h := en.heap
-	last := int32(len(h) - 1)
-	if i != last {
-		h[i] = h[last]
-		en.events[h[i]].pos = i
-	}
-	en.heap = h[:last]
+	last := int32(len(en.heap) - 1)
+	nd := en.heap[last]
+	en.heap = en.heap[:last]
 	if i < last {
-		en.down(i)
-		en.up(i)
+		en.fix(i, nd)
 	}
 }
 
-func (en *Engine) up(i int32) {
+// fix places nd into the hole at position i, sifting it whichever way
+// restores heap order.
+func (en *Engine) fix(i int32, nd heapNode) {
+	if i > 0 && nd.before(&en.heap[(i-1)/4]) {
+		en.up(i, nd)
+	} else {
+		en.down(i, nd)
+	}
+}
+
+// up moves the hole at position i toward the root while nd precedes
+// the hole's parent, then stores nd there.
+func (en *Engine) up(i int32, nd heapNode) {
 	h := en.heap
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !en.less(h[i], h[parent]) {
+		if !nd.before(&h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
-		en.events[h[i]].pos = i
-		en.events[h[parent]].pos = parent
+		h[i] = h[parent]
+		en.events[h[i].slot].pos = i
 		i = parent
 	}
+	h[i] = nd
+	en.events[nd.slot].pos = i
 }
 
-func (en *Engine) down(i int32) {
+// down moves the hole at position i toward the leaves while its
+// smallest child precedes nd, then stores nd there.
+func (en *Engine) down(i int32, nd heapNode) {
 	h := en.heap
 	n := int32(len(h))
 	for {
@@ -290,16 +315,17 @@ func (en *Engine) down(i int32) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if en.less(h[c], h[small]) {
+			if h[c].before(&h[small]) {
 				small = c
 			}
 		}
-		if !en.less(h[small], h[i]) {
+		if !h[small].before(&nd) {
 			break
 		}
-		h[i], h[small] = h[small], h[i]
-		en.events[h[i]].pos = i
-		en.events[h[small]].pos = small
+		h[i] = h[small]
+		en.events[h[i].slot].pos = i
 		i = small
 	}
+	h[i] = nd
+	en.events[nd.slot].pos = i
 }

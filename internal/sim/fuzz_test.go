@@ -10,10 +10,25 @@ import (
 // slice scanned for the minimum (time, seq) key. The byte-derived times
 // are coarse (multiples of 0.5) so timestamp collisions are common and
 // FIFO tie-breaking is constantly exercised across slab-slot reuse.
+// After every operation the engine's internal heap invariant (inline
+// keys, back-pointers, heap order, free list) is checked as well.
 func FuzzEngineOps(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 10, 3, 0, 1, 0, 3, 0})
 	f.Add([]byte{0, 4, 0, 4, 0, 4, 2, 1, 8, 3, 0, 3, 0, 3, 0})
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 2, 0, 0, 3, 0, 0, 1, 1, 2, 2, 3, 3})
+	// Equal-time ties: five events at now and three at now+1 fire in
+	// schedule order, interleaved with a cancel in the middle.
+	f.Add([]byte{0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 1, 1, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0})
+	// Reschedule to the same time: with two handles, arg 4 picks handle
+	// 0 and moves it to t=2, its own time, where it now ties behind
+	// handle 1 (a fresh sequence number).
+	f.Add([]byte{0, 4, 0, 4, 2, 4, 3, 0, 3, 0})
+	// Reschedule earlier: among nine handles, arg 2 picks handle 2 and
+	// moves it from t=21, a leaf, to t=1, where it ties behind handle 1.
+	f.Add([]byte{0, 40, 0, 2, 0, 42, 0, 43, 0, 44, 0, 45, 0, 46, 0, 47, 0, 48, 2, 2, 3, 0, 3, 0, 3, 0, 3, 0})
+	// Reschedule later: the root (handle 0 at t=1) moves behind every
+	// filler, then again after a step moved the clock.
+	f.Add([]byte{0, 2, 0, 4, 0, 6, 0, 8, 0, 10, 0, 12, 0, 14, 0, 16, 2, 80, 3, 0, 2, 88, 3, 0, 3, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var en Engine
 
@@ -111,6 +126,9 @@ func FuzzEngineOps(f *testing.F) {
 				if n := len(gotFired); n == 0 || gotFired[n-1] != id {
 					t.Fatalf("op %d: fired %v, reference wants %d next", i, gotFired, id)
 				}
+			}
+			if err := heapInvariant(&en); err != nil {
+				t.Fatalf("op %d: %v", i, err)
 			}
 			if en.Pending() != pendingRef() {
 				t.Fatalf("op %d: pending %d, reference %d", i, en.Pending(), pendingRef())
