@@ -269,7 +269,7 @@ type adaptiveRun struct {
 	inFallback   bool
 	growthRun    int
 	lastInSystem int64
-	inSystem     func() int64
+	inSystem     *int64 // the run's in-system count
 
 	// Optional probe series, bound once at setup (nil without a probe).
 	lambdaSeries, rhoSeries *probe.Series
@@ -280,7 +280,7 @@ type adaptiveRun struct {
 // newAdaptiveRun wires the control loop for one run. The policy must be
 // Replannable; a FractionProvider is used when available for
 // per-computer utilization estimates.
-func newAdaptiveRun(cfg *AdaptConfig, en *sim.Engine, speeds []float64, servers []sim.Server, policy Policy, utilization float64, inSystem func() int64) (*adaptiveRun, error) {
+func newAdaptiveRun(cfg *AdaptConfig, en *sim.Engine, speeds []float64, servers []sim.Server, policy Policy, utilization float64, inSystem *int64) (*adaptiveRun, error) {
 	rp, ok := policy.(Replannable)
 	if !ok {
 		return nil, fmt.Errorf("cluster: policy %s does not support re-planning (want a static allocator policy)", policy.Name())
@@ -359,7 +359,7 @@ func (ad *adaptiveRun) check(now float64) {
 	// Sustained queue growth: the in-system count rose across
 	// GrowthChecks consecutive checks while clearly above the trivial
 	// occupancy of one job per computer.
-	cur := ad.inSystem()
+	cur := *ad.inSystem
 	if cur > ad.lastInSystem && cur > int64(2*len(ad.speedHat)) {
 		ad.growthRun++
 	} else {

@@ -517,1006 +517,6 @@ type FractionProvider interface {
 	Fractions() []float64
 }
 
-// Run executes one simulation run of cfg under the given policy.
-func Run(cfg Config, policy Policy) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-
-	n := len(cfg.Speeds)
-	root := rng.New(cfg.Seed)
-	arrStream := root.Derive("arrivals")
-	sizeStream := root.Derive("sizes")
-	policyStream := root.Derive("policy")
-
-	meanSize := cfg.JobSize.Mean()
-	lambda := cfg.Lambda()
-	mu := 1 / meanSize
-	if len(cfg.Replay) > 0 && cfg.Duration > 0 {
-		// Trace-driven runs: report the trace's empirical rates to the
-		// policy.
-		lambda = float64(len(cfg.Replay)) / cfg.Duration
-		var total float64
-		for _, r := range cfg.Replay {
-			total += r.Size
-		}
-		mu = 1 / (total / float64(len(cfg.Replay)))
-	}
-
-	arrivals := cfg.Arrivals
-	if arrivals == nil {
-		var interArrival dist.Distribution
-		if cfg.ExponentialArrivals || cfg.ArrivalCV == 1 {
-			interArrival = dist.NewExponential(1 / lambda)
-		} else {
-			interArrival = dist.FitHyperExp2(1/lambda, cfg.ArrivalCV)
-		}
-		arrivals = RenewalProcess{Gap: interArrival}
-	} else if len(cfg.Replay) == 0 {
-		if v, ok := arrivals.(interface{ Validate() error }); ok {
-			if err := v.Validate(); err != nil {
-				return nil, err
-			}
-		}
-		lambda = arrivals.MeanRate()
-	}
-
-	// Parameter drift. Everything is gated on an enabled drift config so
-	// that drift-free runs stay bit-identical: no extra stream
-	// derivation, no extra events, no perturbed plan inputs.
-	var dr *drift.Config
-	if cfg.Drift.Enabled() {
-		dr = cfg.Drift
-		if dr.Arrival != nil {
-			// The schedule changes the truth the run evolves under;
-			// lambda (the belief reported to the policy) stays the base
-			// rate the plan would be built from.
-			arrivals = drift.Modulated{Base: arrivals, Schedule: dr.Arrival}
-		}
-	}
-
-	en := &sim.Engine{}
-	ctx := &Context{
-		Engine:      en,
-		Speeds:      cfg.Speeds,
-		Utilization: cfg.Utilization,
-		Lambda:      lambda,
-		Mu:          mu,
-		RNG:         policyStream,
-		Horizon:     cfg.Duration,
-	}
-	if dr != nil && dr.Misest.Enabled() {
-		// One-shot misestimation: the policy plans from perturbed inputs
-		// while the simulated world keeps the true values. The dedicated
-		// stream is derived only here, so runs without misestimation are
-		// unaffected.
-		rhoHat, speedsHat := dr.Misest.Apply(cfg.Utilization, cfg.Speeds, root.Derive("drift.misest"))
-		ctx.Utilization = rhoHat
-		ctx.Speeds = speedsHat
-		sumHat := 0.0
-		for _, s := range speedsHat {
-			sumHat += s
-		}
-		ctx.Lambda = rhoHat * sumHat * mu
-	}
-	if err := policy.Init(ctx); err != nil {
-		return nil, fmt.Errorf("cluster: policy %s init: %w", policy.Name(), err)
-	}
-
-	warmup := cfg.Duration * cfg.WarmupFraction
-
-	// The run's job allocator: every Job comes from the arena and is
-	// recycled at its terminal event (completion, shed, drop, loss), so
-	// the steady-state arrival/departure cycle performs no heap
-	// allocation. releaseJob is the single recycling gate; the timer check
-	// is a belt-and-braces guard — every terminal path cancels the job's
-	// timers first, and a job with a live timer must not be recycled.
-	arena := sim.NewJobArena()
-	releaseJob := func(j *sim.Job) {
-		if j.TimeoutEvent.Active() || j.DeadlineEvent.Active() || j.AckEvent.Active() {
-			return // a pending timer still references the job
-		}
-		arena.Put(j)
-	}
-
-	// Overload protection. Like faults, everything is gated on an enabled
-	// config so that unprotected runs stay bit-identical: no extra stream
-	// derivation, no extra events, no changed dispatch path.
-	var ov *overloadRun
-	if cfg.Overload.Enabled() {
-		var err error
-		ov, err = newOverloadRun(en, cfg.Overload, n, policy, warmup)
-		if err != nil {
-			return nil, err
-		}
-		ov.arena = arena
-		ov.release = releaseJob
-		if cfg.Overload.Deadline != nil {
-			ov.deadlines = root.Derive("overload.deadline")
-		}
-	}
-
-	// Observability. The probe is treated as nil unless it actually does
-	// something; every probe touch below is gated on pb != nil, so
-	// probe-less runs stay bit-identical: no extra random stream is
-	// derived and no extra events are scheduled.
-	pb := cfg.Probe
-	if !pb.Enabled() {
-		pb = nil
-	}
-	if pb != nil {
-		pb.Start(n, 0)
-	}
-	// Span layer (tracing v2): per-job response-time decomposition. Like
-	// every probe facility it is gated — spans-off runs make none of the
-	// span hook calls below, so they stay bit-identical and pay nothing.
-	spansOn := pb != nil && pb.SpansOn()
-	if spansOn {
-		pb.StartSpans(cfg.Speeds, terminalCauses())
-	}
-
-	// Network/control-plane faults. Gated on an enabled config like
-	// every other subsystem: a disabled config derives no substreams,
-	// schedules no events and leaves the dispatch path untouched, so
-	// netfault-off runs stay bit-identical. Construction happens here
-	// (stream derivation is order-independent); the closures are wired
-	// below once the servers and the other layers exist.
-	var nf *netfaultRun
-	if cfg.Netfault.Enabled() {
-		nf = newNetfaultRun(en, cfg.Netfault, n, root, cfg.Duration)
-		nf.arena = arena
-		nf.speeds = ctx.Speeds
-		nf.rho = ctx.Utilization
-		if rp, ok := policy.(Replannable); ok {
-			nf.replan = rp
-		}
-		if pb != nil {
-			nf.pb = pb
-			pb.StartNetfault(0)
-		}
-	}
-
-	// Physical control plane. Same gating discipline: a disabled config
-	// derives no "ctrl.*" substreams and the policies keep the oracle
-	// StateView, so ctrl-off runs stay bit-identical. The plane is bound
-	// to the policy and the servers below, once both exist.
-	var plane *ctrlplane.Plane
-	if cfg.Ctrl.Enabled() {
-		plane = ctrlplane.NewPlane(en, cfg.Ctrl, n, root, cfg.Duration)
-		if pb != nil {
-			pb.StartCtrl(0)
-			plane.SetHooks(ctrlplane.Hooks{
-				Event: func(t float64, kind ctrlplane.MsgEvent, target int, cause string, value float64) {
-					pb.Emit(probe.Event{T: t, Kind: ctrlEventKind(kind), Target: target, Cause: cause, Value: value})
-				},
-				InFlight:  pb.SetCtrlInFlight,
-				Staleness: pb.NoteCtrlStaleness,
-			})
-		}
-	}
-
-	var respTime, respRatio stats.Accumulator
-	var respTimeDeg, respRatioDeg stats.Accumulator
-	// Response ratios range from 1/maxSpeed (an undisturbed job on the
-	// fastest computer) to arbitrarily large under congestion; log bins
-	// cover the practical range for percentile estimates.
-	ratioHist := stats.NewLogHistogram(1e-3, 1e6, 360)
-	counts := make([]int64, n)
-	var observed int64
-	var generated, inSystem int64
-
-	servers := make([]sim.Server, n)
-
-	// trackSys mirrors the in-system count into the probe's series after
-	// every change.
-	trackSys := func() {
-		if pb != nil {
-			pb.SetInSystem(en.Now(), inSystem)
-		}
-	}
-
-	// finalize records a job's terminal outcome exactly once: the probe's
-	// terminal lifecycle event (every job) and cfg.OnFinal (post-warm-up
-	// jobs, consistent with OnDeparture). Overlapping subsystems may race
-	// to a job's end — a deadline kill followed by the held job's eventual
-	// completion, a shed of an already-condemned job — so the Finalized
-	// flag arbitrates.
-	outcomes := make([]int64, numOutcomes)
-	finalize := func(j *sim.Job, o Outcome) {
-		if j.Finalized {
-			return
-		}
-		j.Finalized = true
-		outcomes[o]++
-		if nf != nil {
-			nf.jobDone(j)
-		}
-		if pb != nil {
-			kind, cause := o.probeEvent()
-			pb.Emit(probe.Event{T: en.Now(), Kind: kind, Job: j.ID, Target: j.Target, Cause: cause, Attempt: j.Attempts + j.Retries})
-			if spansOn {
-				// Close the job's span before OnFinal so the callback can
-				// fetch the decomposition via LastFinal. counted mirrors
-				// the respTime filter exactly: completed jobs arriving
-				// after warmup are the ones T̄ averages.
-				pb.SpanFinal(j, cause, o.Completed(), o.Completed() && j.Arrival >= warmup, en.Now())
-			}
-		}
-		if cfg.OnFinal != nil && j.Arrival >= warmup {
-			cfg.OnFinal(j, o)
-		}
-	}
-
-	// Adaptive re-planning; constructed after the servers exist, but
-	// declared here so the dispatch closures below can hook it.
-	var ad *adaptiveRun
-
-	onDepart := func(j *sim.Job) {
-		if pb != nil && j.Target >= 0 {
-			pb.SetQueueLen(en.Now(), j.Target, servers[j.Target].InService())
-		}
-		if ov != nil {
-			if !ov.preDepart(j) {
-				// A condemned job's completion: the deadline kill already
-				// counted it out of the system and the statistics.
-				releaseJob(j)
-				return
-			}
-		} else {
-			policy.Departed(j)
-		}
-		if ad != nil {
-			ad.noteCompletion(j)
-		}
-		inSystem--
-		trackSys()
-		outcome := OutcomeCompleted
-		if j.Deadline > 0 && j.Completion > j.Deadline {
-			outcome = OutcomeLate
-		}
-		finalize(j, outcome)
-		if j.Arrival >= warmup {
-			respTime.Add(j.ResponseTime())
-			respRatio.Add(j.ResponseRatio())
-			ratioHist.Add(j.ResponseRatio())
-			if j.Degraded {
-				respTimeDeg.Add(j.ResponseTime())
-				respRatioDeg.Add(j.ResponseRatio())
-			}
-			if cfg.OnDeparture != nil {
-				cfg.OnDeparture(j)
-			}
-		}
-		releaseJob(j)
-	}
-
-	// overloadServer is what the overload layer needs from a server:
-	// eviction (shared with the fault injector) and single-job removal.
-	type overloadServer interface {
-		sim.Preemptable
-		sim.Removable
-	}
-	var removers []sim.Removable
-	if ov != nil {
-		removers = make([]sim.Removable, n)
-	}
-	// Speed drift needs the underlying PS servers (validate enforces the
-	// PS discipline when steps are configured).
-	var psBases []*sim.PSServer
-	if dr != nil && len(dr.SpeedSteps) > 0 {
-		psBases = make([]*sim.PSServer, n)
-	}
-	for i, s := range cfg.Speeds {
-		dep := onDepart
-		var bptr *sim.Bounded
-		if ov != nil && cfg.Overload.QueueCap > 0 {
-			// The bounded wrapper must see the departure before the run
-			// statistics so its occupancy is current.
-			dep = func(j *sim.Job) {
-				bptr.NoteDeparture(j)
-				onDepart(j)
-			}
-		}
-		var base overloadServer
-		switch cfg.Discipline {
-		case PS:
-			base = sim.NewPSServer(en, s, dep)
-		case RR:
-			base = sim.NewRRServer(en, s, cfg.Quantum, dep)
-		case FCFS:
-			base = sim.NewFCFSServer(en, s, dep)
-		default:
-			return nil, fmt.Errorf("cluster: unknown discipline %v", cfg.Discipline)
-		}
-		if psBases != nil {
-			psBases[i] = base.(*sim.PSServer)
-		}
-		if ov != nil && cfg.Overload.QueueCap > 0 {
-			idx := i
-			b := sim.NewBounded(base, cfg.Overload.QueueCap, cfg.Overload.Drop,
-				func(j *sim.Job) { ov.shed(idx, j) })
-			bptr = b
-			servers[i] = b
-			removers[i] = b
-		} else {
-			servers[i] = base
-			if ov != nil {
-				removers[i] = base
-			}
-		}
-	}
-
-	if psBases != nil {
-		for _, step := range dr.SpeedSteps {
-			step := step
-			en.Schedule(step.At, func() {
-				if step.Computer >= 0 {
-					psBases[step.Computer].SetSpeed(cfg.Speeds[step.Computer] * step.Factor)
-					return
-				}
-				for i, ps := range psBases {
-					ps.SetSpeed(cfg.Speeds[i] * step.Factor)
-				}
-			})
-		}
-	}
-
-	// Bind the control plane before the state view: a CtrlAware policy
-	// re-routes its token traffic and replaces its replicas' oracle
-	// views with the plane's probing views during BindState. The plane
-	// answers probes that physically arrive from the live servers.
-	if plane != nil {
-		plane.BindSource(serverStateView(servers))
-		if ca, ok := policy.(CtrlAware); ok {
-			ca.BindCtrl(plane)
-		}
-	}
-	// Bind the queue-state view for state-aware policies (the scalable-
-	// dispatch family). This must happen after the servers exist and
-	// before the first arrival; Init runs too early. Stateless policies
-	// don't implement StateAware, so their path is untouched.
-	if sa, ok := policy.(StateAware); ok {
-		sa.BindState(serverStateView(servers))
-	}
-	// Per-dispatcher probe attribution, gated on the probe like every
-	// other instrumentation path so probe-off runs stay bit-identical.
-	var shardOf func() int
-	if pb != nil {
-		if sp, ok := policy.(ShardedPolicy); ok && sp.Shards() > 1 {
-			pb.StartShards(sp.Shards())
-			shardOf = sp.LastShard
-		}
-	}
-
-	var devTracker *deviationTracker
-	if cfg.DeviationInterval > 0 {
-		fp, ok := policy.(FractionProvider)
-		if !ok {
-			return nil, fmt.Errorf("cluster: policy %s cannot provide fractions for deviation tracking", policy.Name())
-		}
-		devTracker = newDeviationTracker(fp.Fractions(), cfg.DeviationInterval)
-	}
-
-	// sendTo routes a dispatched job towards a computer: straight into
-	// the servers (deliverTo, below) normally, or through the netfault
-	// transit stage when the fault layer is active. Declared ahead of
-	// the failure-injection block because the requeue closure captures
-	// it; assigned once the servers exist.
-	var sendTo func(target int, j *sim.Job)
-
-	// Failure injection. Everything here is gated on an enabled fault
-	// config so that fault-free runs stay bit-identical: no extra stream
-	// derivation, no extra events, no changed dispatch path.
-	var inj *faults.Injector
-	// maskFn renders the availability mask (fault up-state AND breaker
-	// closed) for dispatch events; bound after the injector exists, and
-	// only when events are on.
-	var maskFn func() string
-	if cfg.Faults.Enabled() {
-		preempt := make([]sim.Preemptable, n)
-		for i, s := range servers {
-			p, ok := s.(sim.Preemptable)
-			if !ok {
-				return nil, fmt.Errorf("cluster: %v servers do not support eviction", cfg.Discipline)
-			}
-			preempt[i] = p
-		}
-		// notify tells a fault-aware policy the up-set as of detection
-		// time; flaps shorter than the detection lag collapse into one
-		// observation of the final state. With overload protection active
-		// the mask is combined with the breaker states.
-		notify := func() {
-			if ov != nil {
-				ov.faultsUp = inj.UpSet()
-				ov.notifyUpSet()
-				return
-			}
-			if fa, ok := policy.(FaultAware); ok {
-				up := inj.UpSet()
-				if nf != nil {
-					// A cut link masks its computer just like a failure:
-					// the dispatcher cannot reach it either way.
-					for i := range up {
-						up[i] = up[i] && nf.linkUp(i)
-					}
-				}
-				fa.UpSetChanged(up)
-			}
-		}
-		onChange := func(int) {
-			if _, ok := policy.(FaultAware); !ok {
-				return
-			}
-			if cfg.Faults.DetectionLag > 0 {
-				en.ScheduleAfter(cfg.Faults.DetectionLag, notify)
-			} else {
-				notify()
-			}
-		}
-		// Requeued jobs are re-dispatched through the policy but do not
-		// re-enter the job-fraction, deviation, or arrival counts: those
-		// track the scheduler's first dispatch decision per job.
-		requeue := func(j *sim.Job) {
-			if nf != nil {
-				// The job verifiably left its failed computer: clear the
-				// delivery state so its re-dispatch is not deduplicated.
-				nf.reclaim(j)
-			}
-			if ov != nil {
-				// A half-open probe evicted by its computer's failure is a
-				// failed probe: record the outcome against the probed
-				// breaker before the job re-enters the pool as a normal
-				// job — otherwise it would carry its probe mark to another
-				// computer and close the wrong breaker on completion,
-				// leaving the probed one stuck half-open forever.
-				ov.probeFailed(j)
-				// Route through the overload dispatcher so requeued jobs
-				// respect breakers, rejection and timeouts too.
-				ov.dispatch(j, false)
-				return
-			}
-			target := policy.Select(j)
-			if target < 0 || target >= n {
-				panic(fmt.Sprintf("cluster: policy %s selected invalid computer %d", policy.Name(), target))
-			}
-			j.Target = target
-			if pb != nil && !j.Finalized {
-				var mask string
-				if maskFn != nil {
-					mask = maskFn()
-				}
-				pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvDispatch, Job: j.ID, Target: target, Attempt: j.Attempts + j.Retries, Mask: mask})
-			}
-			sendTo(target, j)
-		}
-		hooks := faults.Hooks{
-			OnFail: func(i int) {
-				if pb != nil {
-					now := en.Now()
-					pb.SetUp(now, i, false)
-					pb.SetQueueLen(now, i, servers[i].InService())
-					pb.Emit(probe.Event{T: now, Kind: probe.EvFail, Target: i})
-				}
-				onChange(i)
-			},
-			OnRepair: func(i int) {
-				if pb != nil {
-					now := en.Now()
-					pb.SetUp(now, i, true)
-					pb.SetQueueLen(now, i, servers[i].InService())
-					pb.Emit(probe.Event{T: now, Kind: probe.EvRepair, Target: i})
-				}
-				onChange(i)
-			},
-			Requeue: requeue,
-			OnLost: func(j *sim.Job) {
-				if ov != nil {
-					ov.jobLost(j)
-				}
-				// A job the deadline already condemned was finalized and
-				// counted out of the system by deadlineExpire; the fault
-				// layer surfacing it later only hands back the Job for
-				// recycling — decrementing again would drive the
-				// in-system ledger negative.
-				if !j.Finalized {
-					inSystem--
-					trackSys()
-					finalize(j, OutcomeLostFailure)
-				}
-				releaseJob(j)
-			},
-		}
-		if pb != nil {
-			hooks.OnEnterService = func(i int, j *sim.Job) {
-				if !j.Finalized {
-					pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvServiceStart, Job: j.ID, Target: i})
-				}
-				if spansOn {
-					pb.SpanServe(i, j, en.Now())
-				}
-			}
-			hooks.OnEvict = func(i int, j *sim.Job) {
-				if !j.Finalized {
-					pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvEvict, Job: j.ID, Target: i})
-				}
-				if spansOn {
-					pb.SpanEvict(i, j, en.Now())
-				}
-			}
-			hooks.OnResume = func(i int, j *sim.Job) {
-				if !j.Finalized {
-					pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvResume, Job: j.ID, Target: i})
-				}
-				if spansOn {
-					pb.SpanServe(i, j, en.Now())
-				}
-			}
-		}
-		var err error
-		inj, err = faults.NewInjector(en, cfg.Faults, preempt, root.Derive("faults"), cfg.Duration, hooks)
-		if err != nil {
-			return nil, err
-		}
-		inj.Start()
-	}
-	if pb != nil && pb.EventsOn() {
-		maskBuf := make([]byte, n)
-		maskFn = func() string {
-			for i := range maskBuf {
-				up := (inj == nil || inj.Up(i)) && ov.breakerClosed(i) &&
-					(nf == nil || nf.linkUp(i))
-				if up {
-					maskBuf[i] = '1'
-				} else {
-					maskBuf[i] = '0'
-				}
-			}
-			return string(maskBuf)
-		}
-	}
-
-	// deliverTo physically lands a job at computer target: through the
-	// fault injector when one is active, else straight into the server.
-	// It is the terminal stage of every dispatch path — sendTo is either
-	// this (reliable network) or the netfault transit stage ending here.
-	deliverTo := func(target int, j *sim.Job) {
-		if pb != nil {
-			pb.NoteDelivery(target, en.Now())
-			if spansOn {
-				pb.SpanArrive(target, j, en.Now())
-			}
-		}
-		if inj != nil {
-			inj.Arrive(target, j)
-		} else {
-			if pb != nil && !j.Finalized {
-				pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvServiceStart, Job: j.ID, Target: target})
-			}
-			if spansOn {
-				pb.SpanServe(target, j, en.Now())
-			}
-			servers[target].Arrive(j)
-		}
-		if pb != nil {
-			pb.SetQueueLen(en.Now(), target, servers[target].InService())
-		}
-	}
-	sendTo = deliverTo
-	if nf != nil {
-		nf.deliver = deliverTo
-		sendTo = func(target int, j *sim.Job) { nf.send(target, j, true) }
-	}
-	if plane != nil {
-		// Query round-trips cost real time: the decision the policy just
-		// made waited for its probes (or their timeout), so the job
-		// leaves the dispatcher that much later. Installed before the
-		// spans wrapper (which ends up outermost), so SpanSend stamps
-		// the pre-wait time and the wait lands in the span's network
-		// component.
-		if dc, ok := policy.(DecisionCost); ok {
-			inner := sendTo
-			sendTo = func(target int, j *sim.Job) {
-				if d := dc.TakeDecisionCost(); d > 0 {
-					// The job is held across simulated time, where a
-					// deadline or timeout can reach a terminal outcome
-					// first and recycle it — hold a generation-checked
-					// handle and let a dead one drop the delivery (the
-					// job already finished; there is nothing to deliver).
-					ref := arena.Ref(j)
-					en.ScheduleAfter(d, func() {
-						if jj, ok := ref.Load(); ok && !jj.Finalized {
-							inner(target, jj)
-						}
-					})
-					return
-				}
-				inner(target, j)
-			}
-		}
-	}
-	if spansOn {
-		// Every dispatch path — first dispatch, overload retry, failure
-		// requeue, netfault redispatch — routes through the sendTo var
-		// (closures capture it by reference), so one wrapper marks the
-		// span's transition onto the network. Installed before the
-		// overload wiring below, which copies the value into ov.arrive.
-		// The netfault failover path calls nf.send directly and hooks the
-		// span explicitly in failoverSend.
-		inner := sendTo
-		sendTo = func(target int, j *sim.Job) {
-			pb.SpanSend(j, en.Now())
-			inner(target, j)
-		}
-	}
-
-	if ov != nil {
-		ov.servers = servers
-		ov.removers = removers
-		ov.pb = pb
-		ov.mask = maskFn
-		ov.final = finalize
-		ov.onDrop = func(*sim.Job) {
-			inSystem--
-			trackSys()
-		}
-		ov.onFirstDispatch = func(j *sim.Job, target int) {
-			if j.Arrival >= warmup {
-				counts[target]++
-				observed++
-			}
-			if devTracker != nil {
-				devTracker.observe(j.Arrival, target)
-			}
-			if pb != nil {
-				pb.NoteSubstream(target, j.Arrival)
-				if shardOf != nil {
-					pb.NoteShard(shardOf(), j.Arrival)
-				}
-			}
-			if inj != nil && inj.AnyDown() {
-				j.Degraded = true
-			}
-		}
-		ov.arrive = sendTo
-		if nf != nil {
-			ov.netUp = nf.linkUp
-			ov.netReclaim = nf.reclaim
-		}
-	}
-
-	// Wire the netfault layer's remaining closures now that the servers
-	// and the other layers exist, and schedule its autonomous events.
-	if nf != nil {
-		nf.departed = func(j *sim.Job) {
-			if ov != nil && j.Probe {
-				// An unacked breaker probe counts as a failed probe.
-				ov.probeFailed(j)
-				return
-			}
-			policy.Departed(j)
-		}
-		nf.redispatch = func(j *sim.Job) {
-			if ov != nil {
-				ov.dispatch(j, false)
-				return
-			}
-			target := policy.Select(j)
-			if target < 0 || target >= n {
-				panic(fmt.Sprintf("cluster: policy %s selected invalid computer %d", policy.Name(), target))
-			}
-			j.Target = target
-			if pb != nil {
-				var mask string
-				if maskFn != nil {
-					mask = maskFn()
-				}
-				pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvDispatch, Job: j.ID, Target: target, Attempt: j.Attempts + j.Retries, Mask: mask})
-			}
-			sendTo(target, j)
-		}
-		nf.giveUp = func(j *sim.Job) {
-			if ov != nil {
-				ov.jobLost(j)
-			}
-			inSystem--
-			trackSys()
-			finalize(j, OutcomeLostNetwork)
-			releaseJob(j)
-		}
-		nf.dropDown = func(j *sim.Job) {
-			// Rejected before entering the system: no in-system charge,
-			// no timers armed.
-			finalize(j, OutcomeDroppedDispatcher)
-			releaseJob(j)
-		}
-		nf.reachable = func(i int) bool {
-			return nf.linkUp(i) && (inj == nil || inj.Up(i)) && ov.breakerClosed(i)
-		}
-		nf.notifyMask = func() {
-			if ov != nil {
-				ov.notifyUpSet()
-				return
-			}
-			if fa, ok := policy.(FaultAware); ok {
-				up := make([]bool, n)
-				for i := range up {
-					up[i] = (inj == nil || inj.Up(i)) && nf.linkUp(i)
-				}
-				fa.UpSetChanged(up)
-			}
-		}
-		nf.failoverSend = func(j *sim.Job, target int) {
-			// The backup's routing decision is the job's first dispatch:
-			// it enters the books like a policy decision, but bypasses
-			// admission control and deadline stamping (the backup is a
-			// last-resort router, not a dispatcher).
-			j.Target = target
-			if j.Arrival >= warmup {
-				counts[target]++
-				observed++
-			}
-			if devTracker != nil {
-				devTracker.observe(j.Arrival, target)
-			}
-			if pb != nil {
-				var mask string
-				if maskFn != nil {
-					mask = maskFn()
-				}
-				pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvDispatch, Job: j.ID, Target: target, Cause: "failover", Mask: mask})
-				pb.NoteSubstream(target, j.Arrival)
-			}
-			if inj != nil && inj.AnyDown() {
-				j.Degraded = true
-			}
-			inSystem++
-			trackSys()
-			if spansOn {
-				pb.SpanSend(j, en.Now())
-			}
-			nf.send(target, j, false)
-		}
-		nf.start()
-	}
-
-	if cfg.Adapt.Enabled() {
-		var err error
-		ad, err = newAdaptiveRun(cfg.Adapt, en, cfg.Speeds, servers, policy, ctx.Utilization, func() int64 { return inSystem })
-		if err != nil {
-			return nil, err
-		}
-		ad.bindProbe(pb)
-		ad.start(cfg.Duration)
-	}
-
-	// admit dispatches one job of the given size at the current time. Jobs
-	// come from the arena: a recycled Job is field-identical to a freshly
-	// allocated one (Put zeroes every exported field), so reuse cannot
-	// change simulation results.
-	// routeJob runs a job through the dispatcher proper: admission
-	// control, policy selection and delivery. Called at arrival time
-	// normally, and at restart time for jobs buffered while the
-	// dispatcher was down (hence the en.Now()/j.Arrival distinction:
-	// events are stamped now, statistics key on the arrival).
-	routeJob := func(j *sim.Job) {
-		if ov != nil {
-			if !ov.admitJob(j) {
-				finalize(j, OutcomeRejectedAdmission)
-				releaseJob(j)
-				return
-			}
-			inSystem++
-			trackSys()
-			ov.dispatch(j, true)
-			return
-		}
-		target := policy.Select(j)
-		if target < 0 || target >= n {
-			panic(fmt.Sprintf("cluster: policy %s selected invalid computer %d", policy.Name(), target))
-		}
-		j.Target = target
-		if j.Arrival >= warmup {
-			counts[target]++
-			observed++
-		}
-		if devTracker != nil {
-			devTracker.observe(j.Arrival, target)
-		}
-		if pb != nil {
-			var mask string
-			if maskFn != nil {
-				mask = maskFn()
-			}
-			pb.Emit(probe.Event{T: en.Now(), Kind: probe.EvDispatch, Job: j.ID, Target: target, Mask: mask})
-			pb.NoteSubstream(target, j.Arrival)
-			if shardOf != nil {
-				pb.NoteShard(shardOf(), j.Arrival)
-			}
-		}
-		inSystem++
-		trackSys()
-		if inj != nil && inj.AnyDown() {
-			j.Degraded = true
-		}
-		sendTo(target, j)
-	}
-	if nf != nil {
-		nf.routeJob = routeJob
-	}
-
-	admit := func(size float64) {
-		now := en.Now()
-		generated++
-		if ad != nil {
-			ad.noteArrival(now, size)
-		}
-		j := arena.Get()
-		j.ID = generated
-		j.Size = size
-		j.Arrival = now
-		j.Target = -1
-		if pb != nil {
-			pb.Emit(probe.Event{T: now, Kind: probe.EvArrival, Job: j.ID, Target: -1})
-			if spansOn {
-				pb.SpanAdmit(j, now)
-			}
-		}
-		if nf != nil && nf.interceptArrival(j) {
-			return // dropped, buffered or failed over while down
-		}
-		routeJob(j)
-	}
-
-	if len(cfg.Replay) > 0 {
-		// Trace-driven arrivals: schedule each recorded job at its
-		// recorded time, one event ahead to keep the heap small. A single
-		// closure walks the trace so the chain allocates nothing per job.
-		idx := 0
-		var fire func()
-		fire = func() {
-			r := cfg.Replay[idx]
-			idx++
-			admit(r.Size)
-			if idx < len(cfg.Replay) && cfg.Replay[idx].Arrival <= cfg.Duration {
-				en.Schedule(cfg.Replay[idx].Arrival, fire)
-			}
-		}
-		if cfg.Replay[0].Arrival <= cfg.Duration {
-			en.Schedule(cfg.Replay[0].Arrival, fire)
-		}
-	} else {
-		// Synthetic arrivals: the arrival process (default: a renewal
-		// process with the configured inter-arrival distribution) with
-		// sampled sizes. One closure reschedules itself, so the
-		// steady-state arrival chain allocates nothing: together with the
-		// arena and the engine's slab storage this keeps the whole
-		// unprotected hot path allocation-free.
-		var onArrival func()
-		onArrival = func() {
-			if en.Now() > cfg.Duration {
-				return // admission closes at the horizon
-			}
-			admit(cfg.JobSize.Sample(sizeStream))
-			en.Schedule(arrivals.Next(en.Now(), arrStream), onArrival)
-		}
-		en.Schedule(arrivals.Next(en.Now(), arrStream), onArrival)
-	}
-
-	// Cadence sampling: read queue lengths, utilization deltas and the
-	// in-system count every SampleDT. The chain self-terminates at the
-	// horizon so the drain completes.
-	if pb != nil && pb.SampleDT() > 0 {
-		qls := make([]int, n)
-		busy := make([]float64, n)
-		var psample func(k int)
-		psample = func(k int) {
-			t := float64(k) * pb.SampleDT()
-			if t > cfg.Duration {
-				return
-			}
-			en.Schedule(t, func() {
-				for i := range servers {
-					qls[i] = servers[i].InService()
-					busy[i] = servers[i].BusyTime()
-				}
-				pb.Sample(en.Now(), qls, busy, inSystem)
-				psample(k + 1)
-			})
-		}
-		psample(1)
-	}
-
-	var samples []int64
-	if cfg.SampleInterval > 0 {
-		var sample func(k int)
-		sample = func(k int) {
-			t := float64(k) * cfg.SampleInterval
-			if t > cfg.Duration {
-				return
-			}
-			en.Schedule(t, func() {
-				samples = append(samples, inSystem)
-				sample(k + 1)
-			})
-		}
-		sample(1)
-	}
-
-	if *cfg.Drain {
-		// Run to the horizon, then let in-flight jobs finish. The pending
-		// arrival event beyond the horizon self-cancels via the time
-		// check.
-		en.RunUntil(cfg.Duration)
-		en.RunUntil(math.Inf(1))
-	} else {
-		en.RunUntil(cfg.Duration)
-	}
-	endTime := math.Max(en.Now(), cfg.Duration)
-	if pb != nil {
-		pb.FinishRun(endTime)
-	}
-
-	res := &Result{
-		Policy:            policy.Name(),
-		MeanResponseTime:  respTime.Mean(),
-		MeanResponseRatio: respRatio.Mean(),
-		Fairness:          respRatio.PopStdDev(),
-		Jobs:              respTime.N(),
-		JobFractions:      make([]float64, n),
-		Utilizations:      make([]float64, n),
-		RatioP50:          ratioHist.Quantile(0.50),
-		RatioP95:          ratioHist.Quantile(0.95),
-		RatioP99:          ratioHist.Quantile(0.99),
-		GeneratedJobs:     generated,
-		Outcomes:          outcomes,
-		FinalInSystem:     inSystem,
-		SimulatedTime:     endTime,
-	}
-	for i := range cfg.Speeds {
-		if observed > 0 {
-			res.JobFractions[i] = float64(counts[i]) / float64(observed)
-		}
-		res.Utilizations[i] = servers[i].BusyTime() / endTime
-	}
-	if devTracker != nil {
-		res.Deviations = devTracker.deviations(cfg.Duration)
-	}
-	if ov != nil {
-		res.Overload = ov.finish()
-	}
-	if cfg.SampleInterval > 0 {
-		res.InSystemSeries = samples
-	}
-	if ad != nil {
-		res.Adaptive = ad.finish()
-	}
-	if nf != nil {
-		res.Netfault = nf.finish()
-	}
-	if plane != nil {
-		res.Ctrl = plane.Finish()
-	}
-	if inj != nil {
-		inj.Finish(endTime)
-		res.Availability = make([]float64, n)
-		for i := range res.Availability {
-			res.Availability[i] = inj.Availability(i)
-		}
-		res.Failures = inj.Failures()
-		res.Repairs = inj.Repairs()
-		res.JobsLost = inj.JobsLost()
-		res.JobsRequeued = inj.JobsRequeued()
-		res.JobsRestarted = inj.JobsRestarted()
-		res.JobsResumed = inj.JobsResumed()
-		res.DegradedTime = inj.DegradedTime()
-		res.DegradedJobs = respTimeDeg.N()
-		res.MeanResponseTimeDegraded = respTimeDeg.Mean()
-		res.MeanResponseRatioDegraded = respRatioDeg.Mean()
-	}
-	return res, nil
-}
-
 // deviationTracker implements the Figure 2 measurement: per-interval
 // workload allocation deviation Σ(α_i − α'_i)².
 type deviationTracker struct {

@@ -157,43 +157,17 @@ type nfPending struct {
 	tracked bool
 }
 
-// netfaultRun orchestrates the network-fault layer inside one Run. The
-// closures are wired by Run before the first arrival.
+// netfaultRun orchestrates the network-fault layer inside one Run. It
+// embeds the run it belongs to: delivery, redispatch through the
+// policy, the failover send and terminal accounting are the run's own.
 type netfaultRun struct {
-	en    *sim.Engine
-	cfg   *netfault.Config
-	n     int
-	arena *sim.JobArena
-
-	// deliver physically hands a job to computer target (through the
-	// fault injector when one is active). redispatch re-routes a
-	// resubmitted job through the dispatcher (policy selection, overload
-	// gates). routeJob is the full post-admission dispatch path, used to
-	// flush the downtime buffer. giveUp finalizes OutcomeLostNetwork;
-	// dropDown finalizes OutcomeDroppedDispatcher. departed tells the
-	// policy a dispatched job left its computer (dispatcher's belief).
-	// reachable reports whether the failover backup may route to i.
-	// notifyMask pushes the combined availability mask to a fault-aware
-	// policy after a partition edge. failoverSend does the first-dispatch
-	// bookkeeping for a backup-routed job and transmits it untracked.
-	deliver      func(target int, j *sim.Job)
-	redispatch   func(j *sim.Job)
-	routeJob     func(j *sim.Job)
-	giveUp       func(j *sim.Job)
-	dropDown     func(j *sim.Job)
-	departed     func(j *sim.Job)
-	reachable    func(i int) bool
-	notifyMask   func()
-	failoverSend func(j *sim.Job, target int)
-	pb           *probe.Probe
+	*run
+	cfg *netfault.Config
 
 	// replan is the policy's re-planning hook (nil when the policy is
-	// not Replannable); speeds and rho are the dispatcher's believed
+	// not Replannable); it re-solves from the dispatcher's believed
 	// inputs, as handed to the policy at Init.
-	replan   Replannable
-	speeds   []float64
-	rho      float64
-	duration float64
+	replan Replannable
 
 	linkStreams []*rng.Stream
 	dispStream  *rng.Stream
@@ -203,7 +177,8 @@ type netfaultRun struct {
 	cut      []int
 	inFlight []int
 
-	up        bool
+	// online reports whether the dispatcher process is up.
+	online    bool
 	epoch     int
 	lastCkptT float64
 	downStart float64
@@ -221,15 +196,19 @@ type netfaultRun struct {
 // newNetfaultRun derives the layer's named substreams and allocates its
 // state. Called only when the config is enabled, so disabled runs derive
 // nothing.
-func newNetfaultRun(en *sim.Engine, cfg *netfault.Config, n int, root *rng.Stream, duration float64) *netfaultRun {
+func newNetfaultRun(r *run, cfg *netfault.Config, root *rng.Stream) *netfaultRun {
+	n := r.n
 	nf := &netfaultRun{
-		en: en, cfg: cfg, n: n, duration: duration,
+		run: r, cfg: cfg,
 		links:       make([]netfault.Link, n),
 		linkStreams: make([]*rng.Stream, n),
 		cut:         make([]int, n),
 		inFlight:    make([]int, n),
-		up:          true,
+		online:      true,
 		outstanding: map[int64]*nfEntry{},
+	}
+	if rp, ok := r.policy.(Replannable); ok {
+		nf.replan = rp
 	}
 	for i := 0; i < n; i++ {
 		nf.links[i] = cfg.LinkFor(i)
@@ -252,12 +231,18 @@ func (nf *netfaultRun) start() {
 	if d := nf.cfg.Dispatcher; d != nil {
 		nf.scheduleCrash()
 		if d.Recovery == netfault.RecoverCheckpoint {
-			nf.scheduleCheckpoints(d.CheckpointDT)
+			// Ticks while the dispatcher is down record nothing.
+			nf.every(d.CheckpointDT, func() {
+				if nf.online {
+					nf.lastCkptT = nf.en.Now()
+					nf.stats.Checkpoints++
+				}
+			})
 		}
 	}
 	for _, p := range nf.cfg.Partitions {
 		p := p
-		if p.From > nf.duration {
+		if p.From > nf.ctx.Horizon {
 			continue
 		}
 		nf.en.Schedule(p.From, func() { nf.shiftPartition(p.Links, +1) })
@@ -282,9 +267,7 @@ func (nf *netfaultRun) shiftPartition(links []int, delta int) {
 			nf.cut[i] += delta
 		}
 	}
-	if nf.notifyMask != nil {
-		nf.notifyMask()
-	}
+	nf.notifyUpSet()
 }
 
 // send transmits one dispatch of j over link target. tracked engages the
@@ -427,7 +410,7 @@ func (nf *netfaultRun) sendAck(target int, id int64, epoch int) {
 // dispatch's retransmission loop — a lost copy would never be
 // resubmitted.
 func (nf *netfaultRun) onAck(id int64, epoch int) {
-	if !nf.up {
+	if !nf.online {
 		nf.stats.AckLost++
 		return
 	}
@@ -475,7 +458,7 @@ func (nf *netfaultRun) ackTimeout(j *sim.Job) {
 		return
 	}
 	nf.stats.AckTimeouts++
-	if !nf.up {
+	if !nf.online {
 		// The dispatcher-side timer fired while the process was dead;
 		// park it. The restart recovery decides whether the entry (and
 		// hence this retransmit) survives.
@@ -503,7 +486,7 @@ func (nf *netfaultRun) resubmit(j *sim.Job, cause string) {
 		}
 		nf.stats.LostNetwork++
 		nf.departed(j)
-		nf.giveUp(j)
+		nf.lose(j, OutcomeLostNetwork)
 		return
 	}
 	j.Resubmits++
@@ -528,12 +511,12 @@ func (nf *netfaultRun) resubmit(j *sim.Job, cause string) {
 			// owns its re-dispatch now, a second loop would double it.
 			return
 		}
-		if !nf.up {
+		if !nf.online {
 			_, tracked := nf.outstanding[jj.ID]
 			nf.pendingResend = append(nf.pendingResend, nfPending{ref: ref, id: jj.ID, epoch: epoch, tracked: tracked})
 			return
 		}
-		nf.redispatch(jj)
+		nf.dispatch(jj, false)
 	})
 }
 
@@ -582,7 +565,7 @@ func (nf *netfaultRun) scheduleRescue(j *sim.Job) {
 		if !ok || jj.Finalized || jj.Killed || jj.NetAccepted || jj.NetEpoch != epoch {
 			return
 		}
-		if !nf.up {
+		if !nf.online {
 			// The client keeps retrying regardless of dispatcher state;
 			// its retransmit lands once the dispatcher is back.
 			nf.pendingRescue = append(nf.pendingRescue, nfPending{ref: ref, id: jj.ID, epoch: epoch})
@@ -603,6 +586,24 @@ func (nf *netfaultRun) jobDone(j *sim.Job) {
 	delete(nf.outstanding, j.ID)
 }
 
+// departed tells the policy a dispatched job left its computer, as far
+// as the dispatcher believes; an unacked breaker probe counts as a
+// failed probe instead.
+func (nf *netfaultRun) departed(j *sim.Job) {
+	if nf.ov != nil && j.Probe {
+		nf.ov.probeFailed(j)
+		return
+	}
+	nf.policy.Departed(j)
+}
+
+// dropDown rejects an arrival while the dispatcher is down. The job never
+// entered the system: no in-system charge, no timers armed.
+func (nf *netfaultRun) dropDown(j *sim.Job) {
+	nf.finalize(j, OutcomeDroppedDispatcher)
+	nf.releaseJob(j)
+}
+
 // reclaim clears delivery state when the job verifiably left its server
 // (overload timeout removal, failure requeue): the next delivery must
 // not be deduplicated away.
@@ -620,7 +621,7 @@ func (nf *netfaultRun) reclaim(j *sim.Job) {
 // at the horizon so the drain completes.
 func (nf *netfaultRun) scheduleCrash() {
 	t := nf.en.Now() + nf.cfg.Dispatcher.Uptime.Sample(nf.dispStream)
-	if t > nf.duration {
+	if t > nf.ctx.Horizon {
 		return
 	}
 	nf.en.Schedule(t, nf.crash)
@@ -630,7 +631,7 @@ func (nf *netfaultRun) scheduleCrash() {
 // even past the horizon — so buffered jobs and parked retransmits drain.
 func (nf *netfaultRun) crash() {
 	now := nf.en.Now()
-	nf.up = false
+	nf.online = false
 	nf.epoch++
 	nf.stats.Crashes++
 	nf.downStart = now
@@ -641,33 +642,13 @@ func (nf *netfaultRun) crash() {
 	nf.en.ScheduleAfter(nf.cfg.Dispatcher.Downtime.Sample(nf.dispStream), nf.restart)
 }
 
-// scheduleCheckpoints runs the periodic plan-checkpoint chain; ticks
-// while the dispatcher is down record nothing.
-func (nf *netfaultRun) scheduleCheckpoints(dt float64) {
-	var tick func(k int)
-	tick = func(k int) {
-		t := float64(k) * dt
-		if t > nf.duration {
-			return
-		}
-		nf.en.Schedule(t, func() {
-			if nf.up {
-				nf.lastCkptT = nf.en.Now()
-				nf.stats.Checkpoints++
-			}
-			tick(k + 1)
-		})
-	}
-	tick(1)
-}
-
 // restart brings the dispatcher back: recover the Algorithm 2 state per
 // the configured policy, resolve the outstanding-dispatch table, drain
 // parked ack timeouts, backoff resends and client rescues, flush the
 // downtime buffer, and arm the next crash.
 func (nf *netfaultRun) restart() {
 	now := nf.en.Now()
-	nf.up = true
+	nf.online = true
 	nf.stats.Restarts++
 	nf.stats.DownTime += now - nf.downStart
 	d := nf.cfg.Dispatcher
@@ -678,18 +659,18 @@ func (nf *netfaultRun) restart() {
 		// back as-is, age zero.
 	case netfault.RecoverCheckpoint:
 		age = now - nf.lastCkptT
-		if nf.replan != nil && nf.replan.Replan(nf.speeds, nf.rho) == nil {
+		if nf.replan != nil && nf.replan.Replan(nf.ctx.Speeds, nf.ctx.Utilization) == nil {
 			nf.stats.PlanRestores++
 		}
 	case netfault.RecoverCold:
 		age = -1
 		nf.stats.ColdResets++
-		if nf.replan != nil && nf.replan.ReplanProportional(nf.speeds) == nil {
+		if nf.replan != nil && nf.replan.ReplanProportional(nf.ctx.Speeds) == nil {
 			// Run the speed-proportional fallback for the relearn window,
 			// then re-solve — unless another crash started a new epoch.
 			epoch := nf.epoch
 			nf.en.ScheduleAfter(d.RelearnT, func() {
-				if nf.up && nf.epoch == epoch && nf.replan.Replan(nf.speeds, nf.rho) == nil {
+				if nf.online && nf.epoch == epoch && nf.replan.Replan(nf.ctx.Speeds, nf.ctx.Utilization) == nil {
 					nf.stats.PlanRestores++
 				}
 			})
@@ -767,7 +748,7 @@ func (nf *netfaultRun) restart() {
 		if _, tracked := nf.outstanding[p.id]; p.tracked && !tracked {
 			continue
 		}
-		nf.redispatch(jj)
+		nf.dispatch(jj, false)
 	}
 
 	// Client retransmits that arrived while down land now.
@@ -798,7 +779,7 @@ func (nf *netfaultRun) restart() {
 // the failover backup).
 func (nf *netfaultRun) interceptArrival(j *sim.Job) bool {
 	d := nf.cfg.Dispatcher
-	if d == nil || nf.up {
+	if d == nil || nf.online {
 		return false
 	}
 	switch d.Down {
@@ -830,10 +811,10 @@ func (nf *netfaultRun) failover(j *sim.Job) {
 	best := -1
 	var bestScore float64
 	for i := 0; i < nf.n; i++ {
-		if !nf.reachable(i) {
+		if !nf.run.up(i) {
 			continue
 		}
-		score := float64(nf.failCount[i]+1) / nf.speeds[i]
+		score := float64(nf.failCount[i]+1) / nf.ctx.Speeds[i]
 		if best < 0 || score < bestScore {
 			best = i
 			bestScore = score

@@ -290,58 +290,27 @@ func (s *OverloadStats) AddCounters(o *OverloadStats) {
 	s.BreakerProbes += o.BreakerProbes
 }
 
-// overloadRun orchestrates the overload mechanisms inside one Run. All
-// fields are wired by Run before the first arrival.
+// overloadRun orchestrates the overload mechanisms inside one Run. It
+// embeds the run it belongs to: dispatch, send, finalize and the
+// in-system count are the run's own.
 type overloadRun struct {
-	en     *sim.Engine
-	cfg    *OverloadConfig
-	policy Policy
-	n      int
-	warmup float64
+	*run
+	cfg *OverloadConfig
 
-	servers  []sim.Server
 	removers []sim.Removable
-	// arrive routes a dispatched job into servers (through the fault
-	// injector when one is active); onFirstDispatch does the per-job
-	// bookkeeping of the scheduler's first dispatch decision; onDrop
-	// reports a job leaving the system without completing.
-	arrive          func(target int, j *sim.Job)
-	onFirstDispatch func(j *sim.Job, target int)
-	onDrop          func(j *sim.Job)
-	// Observability, wired by Run: pb is nil when the probe is off; mask
-	// renders the availability mask for dispatch events (nil when events
-	// are off); final records a job's terminal outcome exactly once.
-	pb    *probe.Probe
-	mask  func() string
-	final func(j *sim.Job, o Outcome)
-
-	// arena is the run's job allocator; release recycles a terminally
-	// disposed job into it (both wired by Run). The arena's generation
-	// check is what makes the JobRef-guarded timers below safe: a timer
-	// outliving its job loads a dead handle instead of a recycled Job.
-	arena   *sim.JobArena
-	release func(*sim.Job)
-
 	tb       *dispatch.TokenBucket
 	brk      []*dispatch.Breaker
-	faultsUp []bool // availability mask from the fault injector; nil = all up
-	// netUp reports whether computer i's dispatch link is uncut; nil
-	// without the netfault layer. netReclaim clears a job's network
-	// delivery state when the dispatcher verifiably pulls it back (a
-	// timeout removal), so its re-dispatch is not deduplicated away.
-	netUp      func(i int) bool
-	netReclaim func(j *sim.Job)
 	// deadlines is the named random substream for deadline draws; derived
-	// by Run only when a deadline distribution is configured, so runs
-	// without deadlines consume no extra randomness.
+	// only when a deadline distribution is configured, so runs without
+	// deadlines consume no extra randomness.
 	deadlines *rng.Stream
 	timeHist  *stats.Histogram
 	stats     OverloadStats
 }
 
-func newOverloadRun(en *sim.Engine, cfg *OverloadConfig, n int, policy Policy, warmup float64) (*overloadRun, error) {
+func newOverloadRun(r *run, cfg *OverloadConfig, root *rng.Stream) (*overloadRun, error) {
 	ov := &overloadRun{
-		en: en, cfg: cfg, policy: policy, n: n, warmup: warmup,
+		run: r, cfg: cfg,
 		// Response times span from sub-second (a small job on the
 		// fastest computer) to the timeout/deadline horizon.
 		timeHist: stats.NewLogHistogram(1e-3, 1e7, 400),
@@ -354,10 +323,13 @@ func newOverloadRun(en *sim.Engine, cfg *OverloadConfig, n int, policy Policy, w
 		ov.tb = tb
 	}
 	if cfg.Breaker != nil {
-		ov.brk = make([]*dispatch.Breaker, n)
+		ov.brk = make([]*dispatch.Breaker, r.n)
 		for i := range ov.brk {
 			ov.brk[i] = dispatch.NewBreaker(*cfg.Breaker)
 		}
+	}
+	if cfg.Deadline != nil {
+		ov.deadlines = root.Derive("overload.deadline")
 	}
 	return ov, nil
 }
@@ -395,47 +367,25 @@ func (ov *overloadRun) admitJob(j *sim.Job) bool {
 	return true
 }
 
-// dispatch routes one job: probe-target override, policy selection,
-// breaker gate, reject-when-full check, timeout arming, then arrival.
-// first marks the scheduler's first dispatch decision for this job
-// (counted in job fractions and deviation tracking); retries and
-// fault-requeues pass false.
-func (ov *overloadRun) dispatch(j *sim.Job, first bool) {
-	if j.Killed {
-		return // condemned while waiting for this retry
-	}
-	target := -1
-	if ov.brk != nil {
-		// A half-open breaker gets the next job as its single probe,
-		// bypassing the policy: lowest index wins for determinism.
-		for i, b := range ov.brk {
-			if b.NeedsProbe() {
-				target = i
-				j.Probe = true
-				j.ProbeTarget = i
-				b.BeginProbe()
-				ov.stats.BreakerProbes++
-				break
-			}
+// probeTarget hands the job to the lowest-index half-open breaker as its
+// single probe, bypassing the policy; -1 when no breaker needs one.
+func (ov *overloadRun) probeTarget(j *sim.Job) int {
+	for i, b := range ov.brk {
+		if b.NeedsProbe() {
+			j.Probe = true
+			j.ProbeTarget = i
+			b.BeginProbe()
+			ov.stats.BreakerProbes++
+			return i
 		}
 	}
-	if target < 0 {
-		target = ov.policy.Select(j)
-		if target < 0 || target >= ov.n {
-			panic(fmt.Sprintf("cluster: policy %s selected invalid computer %d", ov.policy.Name(), target))
-		}
-	}
-	j.Target = target
-	if first && ov.onFirstDispatch != nil {
-		ov.onFirstDispatch(j, target)
-	}
-	if ov.pb != nil {
-		var mask string
-		if ov.mask != nil {
-			mask = ov.mask()
-		}
-		ov.pb.Emit(probe.Event{T: ov.en.Now(), Kind: probe.EvDispatch, Job: j.ID, Target: target, Attempt: j.Attempts + j.Retries, Mask: mask})
-	}
+	return -1
+}
+
+// gate applies the checks between selection and sending — an open
+// breaker, reject-when-full — and arms the dispatcher timeout. It
+// reports whether the job may be sent; a refused job retries or drops.
+func (ov *overloadRun) gate(j *sim.Job, target int) bool {
 	if !j.Probe && ov.brk != nil && !ov.brk[target].Allow() {
 		// The policy could not route around an open breaker (e.g. the
 		// whole up-set is masked): rejection without poisoning the
@@ -446,7 +396,7 @@ func (ov *overloadRun) dispatch(j *sim.Job, first bool) {
 		}
 		ov.policy.Departed(j)
 		ov.retryOrDrop(j)
-		return
+		return false
 	}
 	if ov.cfg.Admission == RejectWhenFull && ov.servers[target].InService() >= ov.cfg.QueueCap {
 		ov.stats.RejectedFull++
@@ -460,7 +410,7 @@ func (ov *overloadRun) dispatch(j *sim.Job, first bool) {
 			ov.policy.Departed(j)
 		}
 		ov.retryOrDrop(j)
-		return
+		return false
 	}
 	if ov.cfg.Timeout > 0 {
 		if j.TimeoutEvent.Active() {
@@ -477,7 +427,7 @@ func (ov *overloadRun) dispatch(j *sim.Job, first bool) {
 			}
 		})
 	}
-	ov.arrive(target, j)
+	return true
 }
 
 // timeout fires when a dispatched job overstays Timeout: pull it back
@@ -493,8 +443,8 @@ func (ov *overloadRun) timeout(j *sim.Job) {
 	if !ov.removers[j.Target].Remove(j) {
 		return
 	}
-	if ov.netReclaim != nil {
-		ov.netReclaim(j)
+	if ov.nf != nil {
+		ov.nf.reclaim(j)
 	}
 	ov.stats.Timeouts++
 	if ov.pb != nil {
@@ -546,11 +496,9 @@ func (ov *overloadRun) retryOrDrop(j *sim.Job) {
 		return
 	}
 	ov.stats.DroppedRetryBudget++
-	if ov.final != nil {
-		ov.final(j, OutcomeDroppedRetryBudget)
-	}
+	ov.finalize(j, OutcomeDroppedRetryBudget)
 	ov.drop(j)
-	ov.freeJob(j)
+	ov.releaseJob(j)
 }
 
 // backoffDelay returns attempt j.Attempts' backoff with deterministic
@@ -591,19 +539,15 @@ func (ov *overloadRun) deadlineExpire(j *sim.Job) {
 	if j.Probe {
 		ov.probeFailed(j)
 	}
-	if ov.final != nil {
-		ov.final(j, OutcomeKilledDeadline)
-	}
-	if ov.onDrop != nil {
-		ov.onDrop(j)
-	}
+	ov.finalize(j, OutcomeKilledDeadline)
+	ov.addInSystem(-1)
 	if removed {
 		// Fully out of the system: no server holds it, no timer is armed
 		// and no retry is pending (a job at a server is never in backoff),
 		// so the Job can be recycled. When Remove failed the job is still
 		// held somewhere (a failed computer, a backoff delay) and will be
 		// recycled — or intentionally leaked — by whichever path ends it.
-		ov.freeJob(j)
+		ov.releaseJob(j)
 	}
 }
 
@@ -623,7 +567,7 @@ func (ov *overloadRun) shed(i int, j *sim.Job) {
 		} else {
 			ov.policy.Departed(j)
 		}
-		ov.freeJob(j)
+		ov.releaseJob(j)
 		return
 	}
 	ov.stats.ShedOverflow++
@@ -634,18 +578,9 @@ func (ov *overloadRun) shed(i int, j *sim.Job) {
 	} else {
 		ov.policy.Departed(j)
 	}
-	if ov.final != nil {
-		ov.final(j, OutcomeShedOverflow)
-	}
+	ov.finalize(j, OutcomeShedOverflow)
 	ov.drop(j)
-	ov.freeJob(j)
-}
-
-// freeJob recycles a terminally disposed job through the run's arena.
-func (ov *overloadRun) freeJob(j *sim.Job) {
-	if ov.release != nil {
-		ov.release(j)
-	}
+	ov.releaseJob(j)
 }
 
 // drop finishes a terminal drop: cancel the deadline timer and report
@@ -655,9 +590,7 @@ func (ov *overloadRun) drop(j *sim.Job) {
 		j.DeadlineEvent.Cancel()
 		j.DeadlineEvent = sim.Event{}
 	}
-	if ov.onDrop != nil {
-		ov.onDrop(j)
-	}
+	ov.addInSystem(-1)
 }
 
 // jobLost is called when the fault machinery discards a job, so pending
@@ -790,28 +723,6 @@ func (ov *overloadRun) noteBreaker(i int) {
 // overload layer.
 func (ov *overloadRun) breakerClosed(i int) bool {
 	return ov == nil || ov.brk == nil || ov.brk[i].State() == dispatch.BreakerClosed
-}
-
-// notifyUpSet hands a fault-aware policy the combined availability mask:
-// a computer counts as up only when the fault injector says so AND its
-// breaker (if any) is closed.
-func (ov *overloadRun) notifyUpSet() {
-	fa, ok := ov.policy.(FaultAware)
-	if !ok {
-		return
-	}
-	up := make([]bool, ov.n)
-	for i := range up {
-		u := ov.faultsUp == nil || ov.faultsUp[i]
-		if u && ov.netUp != nil && !ov.netUp(i) {
-			u = false
-		}
-		if u && ov.brk != nil && ov.brk[i].State() != dispatch.BreakerClosed {
-			u = false
-		}
-		up[i] = u
-	}
-	fa.UpSetChanged(up)
 }
 
 // finish snapshots the counters and percentile estimates.
