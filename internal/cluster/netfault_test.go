@@ -8,6 +8,7 @@ import (
 	"heterosched/internal/cluster"
 	"heterosched/internal/dispatch"
 	"heterosched/internal/dist"
+	"heterosched/internal/faults"
 	"heterosched/internal/netfault"
 	"heterosched/internal/rng"
 	"heterosched/internal/sched"
@@ -432,4 +433,94 @@ func TestNetfaultStress(t *testing.T) {
 		t.Errorf("stress run left machinery idle: %+v", nf)
 	}
 	t.Logf("stress: %d jobs, outcomes %v, netfault %+v", led.total, led.counts, nf)
+}
+
+// upSetRecorder wraps ORR and records every up-set the run hands it.
+type upSetRecorder struct {
+	*sched.Static
+	en   *sim.Engine
+	seen []upSetCall
+}
+
+type upSetCall struct {
+	t  float64
+	up []bool
+}
+
+func (p *upSetRecorder) Init(ctx *cluster.Context) error {
+	p.en = ctx.Engine
+	return p.Static.Init(ctx)
+}
+
+func (p *upSetRecorder) UpSetChanged(up []bool) {
+	p.seen = append(p.seen, upSetCall{t: p.en.Now(), up: append([]bool(nil), up...)})
+	p.Static.UpSetChanged(up)
+}
+
+// TestPartitionEdgeRespectsDetectionLag: a partition edge re-sends the
+// policy its up-set, and that up-set must carry the fault state as of
+// the last detection, never the live one — otherwise every partition
+// edge leaks failures the dispatcher cannot know about yet. With a
+// detection lag longer than the run, no failure may reach the policy
+// before the drain, so each up-set must mark down exactly the
+// partitioned computer, and only inside a window. The overload layer
+// composes the same up-set, so enabling it must not change the sequence.
+func TestPartitionEdgeRespectsDetectionLag(t *testing.T) {
+	const lag = 1e9
+	var windows []netfault.Partition
+	for k := 0; k < 20; k++ {
+		from := 500 + 1000*float64(k)
+		windows = append(windows, netfault.Partition{From: from, To: from + 300, Links: []int{0}})
+	}
+	cut := func(t float64) bool {
+		for _, w := range windows {
+			if w.From <= t && t < w.To {
+				return true
+			}
+		}
+		return false
+	}
+	run := func(ov *cluster.OverloadConfig) []upSetCall {
+		cfg := netfaultTestConfig(&netfault.Config{Partitions: windows, Ack: netfault.Ack{Timeout: 30}})
+		cfg.Faults = &faults.Config{
+			Uptime:       dist.NewExponential(300),
+			Downtime:     dist.NewExponential(300),
+			Fate:         faults.RequeueToDispatcher,
+			DetectionLag: lag,
+		}
+		cfg.Overload = ov
+		p := &upSetRecorder{Static: sched.ORR()}
+		res, err := cluster.Run(cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failures == 0 {
+			t.Fatal("no failures injected; the test exercises nothing")
+		}
+		return p.seen
+	}
+	off := run(nil)
+	var edges, leaked int
+	for _, c := range off {
+		if c.t >= lag {
+			break // detections start here
+		}
+		edges++
+		for i, u := range c.up {
+			if want := i != 0 || !cut(c.t); u != want {
+				leaked++
+				t.Errorf("t=%g: policy told computer %d up=%v, want %v (undetected failure leaked)", c.t, i, u, want)
+			}
+		}
+	}
+	if edges != 2*len(windows) {
+		t.Errorf("saw %d up-set notifications before detection, want one per partition edge (%d)", edges, 2*len(windows))
+	}
+	if leaked > 0 {
+		t.Logf("%d undetected up/down states leaked across %d partition edges", leaked, edges)
+	}
+	on := run(&cluster.OverloadConfig{QueueCap: 1 << 20})
+	if !reflect.DeepEqual(off, on) {
+		t.Errorf("overload-off and overload-on up-set sequences differ:\n off %v\n on  %v", off, on)
+	}
 }

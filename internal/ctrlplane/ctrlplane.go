@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"heterosched/internal/netfault"
 )
@@ -116,38 +115,11 @@ func (c *Config) Validate(computers, replicas int) error {
 	if err := c.Link.Validate("default control link"); err != nil {
 		return err
 	}
-	idxs := make([]int, 0, len(c.PerLink))
-	for i := range c.PerLink {
-		idxs = append(idxs, i)
+	if err := netfault.ValidateLinks("ctrlplane: ", "control link", "cuts control link", c.PerLink, c.Partitions, computers); err != nil {
+		return err
 	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		if i < 0 || i >= computers {
-			return fmt.Errorf("ctrlplane: per-link override for computer %d outside [0,%d)", i, computers)
-		}
-		if err := c.PerLink[i].Validate(fmt.Sprintf("control link %d", i)); err != nil {
-			return err
-		}
-	}
-	for k, p := range c.Partitions {
-		if p.From < 0 || p.To <= p.From {
-			return fmt.Errorf("ctrlplane: partition %d window [%g,%g) is not a forward interval", k, p.From, p.To)
-		}
-		for _, i := range p.Links {
-			if i < 0 || i >= computers {
-				return fmt.Errorf("ctrlplane: partition %d cuts control link %d outside [0,%d)", k, i, computers)
-			}
-		}
-	}
-	for k, p := range c.SyncPartitions {
-		if p.From < 0 || p.To <= p.From {
-			return fmt.Errorf("ctrlplane: sync partition %d window [%g,%g) is not a forward interval", k, p.From, p.To)
-		}
-		for _, i := range p.Links {
-			if i < 0 || (replicas > 0 && i >= replicas) {
-				return fmt.Errorf("ctrlplane: sync partition %d isolates replica %d outside [0,%d)", k, i, replicas)
-			}
-		}
+	if err := netfault.ValidateLinks("ctrlplane: sync ", "", "isolates replica", nil, c.SyncPartitions, replicas); err != nil {
+		return err
 	}
 	if c.Lease < 0 || math.IsNaN(c.Lease) || math.IsInf(c.Lease, 0) {
 		return fmt.Errorf("ctrlplane: token lease %g invalid (must be >= 0 and finite)", c.Lease)

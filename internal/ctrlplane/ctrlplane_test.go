@@ -327,3 +327,47 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Fatalf("replay diverged:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestLinkValidationMessages pins the exact rejection messages of the
+// link and partition checks that the dispatch plane (netfault) and the
+// control plane share through netfault.ValidateLinks.
+func TestLinkValidationMessages(t *testing.T) {
+	ack := netfault.Ack{Timeout: 10, Budget: 1, BackoffBase: 1, BackoffMax: 1}
+	cases := []struct {
+		err  error
+		want string
+	}{
+		{(&netfault.Config{PerLink: map[int]netfault.Link{5: {Loss: 0.1}}, Ack: ack}).Validate(4),
+			"netfault: per-link override for computer 5 outside [0,4)"},
+		{(&netfault.Config{PerLink: map[int]netfault.Link{1: {Loss: 2}}, Ack: ack}).Validate(4),
+			"netfault: link 1 loss probability 2 outside [0,1)"},
+		{(&netfault.Config{Partitions: []netfault.Partition{{From: 5, To: 5}}, Ack: ack}).Validate(4),
+			"netfault: partition 0 window [5,5) is not a forward interval"},
+		{(&netfault.Config{Partitions: []netfault.Partition{{From: 0, To: 1}, {From: 0, To: 1, Links: []int{4}}}, Ack: ack}).Validate(4),
+			"netfault: partition 1 cuts link 4 outside [0,4)"},
+		{(&Config{PerLink: map[int]netfault.Link{-1: {Dup: 0.5}}, QueryTO: 1}).Validate(4, 2),
+			"ctrlplane: per-link override for computer -1 outside [0,4)"},
+		{(&Config{PerLink: map[int]netfault.Link{2: {Dup: 1.5}}, QueryTO: 1}).Validate(4, 2),
+			"netfault: control link 2 duplication probability 1.5 outside [0,1]"},
+		{(&Config{Partitions: []netfault.Partition{{From: -1, To: 1}}, QueryTO: 1}).Validate(4, 2),
+			"ctrlplane: partition 0 window [-1,1) is not a forward interval"},
+		{(&Config{Partitions: []netfault.Partition{{From: 0, To: 1, Links: []int{7}}}, QueryTO: 1}).Validate(4, 2),
+			"ctrlplane: partition 0 cuts control link 7 outside [0,4)"},
+		{(&Config{SyncPartitions: []netfault.Partition{{From: 3, To: 2}}, QueryTO: 1}).Validate(4, 2),
+			"ctrlplane: sync partition 0 window [3,2) is not a forward interval"},
+		{(&Config{SyncPartitions: []netfault.Partition{{From: 0, To: 1, Links: []int{2}}}, QueryTO: 1}).Validate(4, 2),
+			"ctrlplane: sync partition 0 isolates replica 2 outside [0,2)"},
+		{(&Config{SyncPartitions: []netfault.Partition{{From: 0, To: 1, Links: []int{-1}}}, QueryTO: 1}).Validate(4, 0),
+			"ctrlplane: sync partition 0 isolates replica -1 outside [0,0)"},
+	}
+	for i, c := range cases {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("case %d: got %v, want %q", i, c.err, c.want)
+		}
+	}
+	// Replica indices are unbounded above when the count is unknown.
+	ok := &Config{SyncPartitions: []netfault.Partition{{From: 0, To: 1, Links: []int{9}}}, QueryTO: 1}
+	if err := ok.Validate(4, 0); err != nil {
+		t.Errorf("unknown replica count: %v", err)
+	}
+}

@@ -99,7 +99,7 @@ type Config struct {
 	// MaxRetries bounds re-dispatch attempts per job under
 	// RequeueToDispatcher; 0 means DefaultMaxRetries.
 	MaxRetries int
-	// DetectionLag is the delay in seconds between a failure or repair
+	// DetectionLag is the finite delay in seconds between a failure or repair
 	// and the scheduler learning about it (health-check interval plus
 	// propagation). Zero means instant detection.
 	DetectionLag float64
@@ -146,7 +146,7 @@ func (c *Config) Validate(n int) error {
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("faults: MaxRetries %d negative", c.MaxRetries)
 	}
-	if c.DetectionLag < 0 || math.IsNaN(c.DetectionLag) {
+	if c.DetectionLag < 0 || math.IsNaN(c.DetectionLag) || math.IsInf(c.DetectionLag, 0) {
 		return fmt.Errorf("faults: DetectionLag %v invalid", c.DetectionLag)
 	}
 	return nil

@@ -261,6 +261,8 @@ func TestConfigValidate(t *testing.T) {
 		{"bad fate", Config{Uptime: up, Downtime: down, Fate: Fate(99)}, false},
 		{"negative retries", Config{Uptime: up, Downtime: down, MaxRetries: -1}, false},
 		{"negative lag", Config{Uptime: up, Downtime: down, DetectionLag: -1}, false},
+		{"infinite lag", Config{Uptime: up, Downtime: down, DetectionLag: math.Inf(1)}, false},
+		{"NaN lag", Config{Uptime: up, Downtime: down, DetectionLag: math.NaN()}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate(2)

@@ -64,9 +64,7 @@ func (l Link) SampleLatency(st *rng.Stream) float64 {
 }
 
 // Validate checks the link's parameters, labelling errors with name.
-func (l Link) Validate(name string) error { return l.validate(name) }
-
-func (l Link) validate(name string) error {
+func (l Link) Validate(name string) error {
 	if l.Loss < 0 || l.Loss >= 1 {
 		return fmt.Errorf("netfault: %s loss probability %g outside [0,1)", name, l.Loss)
 	}
@@ -75,6 +73,42 @@ func (l Link) validate(name string) error {
 	}
 	if l.Latency != nil && l.Latency.Mean() < 0 {
 		return fmt.Errorf("netfault: %s latency mean %g is negative", name, l.Latency.Mean())
+	}
+	return nil
+}
+
+// ValidateLinks checks the per-link overrides and partition windows the
+// dispatch links (this package) and the control links (ctrlplane) share.
+// Override indices must lie in [0,n) and each override must be valid;
+// each window must be a forward interval from a non-negative start, and
+// the indices it cuts must lie in [0,n) — n <= 0 leaves them unbounded
+// above, for endpoint counts the config cannot see. Every message starts
+// with prefix ("netfault: "); link names an overridden link ("link",
+// "control link") and cuts is a window's verb phrase ("cuts link",
+// "isolates replica").
+func ValidateLinks(prefix, link, cuts string, perLink map[int]Link, parts []Partition, n int) error {
+	idxs := make([]int, 0, len(perLink))
+	for i := range perLink {
+		idxs = append(idxs, i)
+	}
+	sort.Ints(idxs)
+	for _, i := range idxs {
+		if i < 0 || (n > 0 && i >= n) {
+			return fmt.Errorf("%sper-link override for computer %d outside [0,%d)", prefix, i, n)
+		}
+		if err := perLink[i].Validate(fmt.Sprintf("%s %d", link, i)); err != nil {
+			return err
+		}
+	}
+	for k, p := range parts {
+		if p.From < 0 || p.To <= p.From {
+			return fmt.Errorf("%spartition %d window [%g,%g) is not a forward interval", prefix, k, p.From, p.To)
+		}
+		for _, i := range p.Links {
+			if i < 0 || (n > 0 && i >= n) {
+				return fmt.Errorf("%spartition %d %s %d outside [0,%d)", prefix, k, cuts, i, n)
+			}
+		}
 	}
 	return nil
 }
@@ -329,31 +363,11 @@ func (c *Config) Validate(computers int) error {
 		return errors.New("netfault: validate needs a positive computer count")
 	}
 	c.withDefaults()
-	if err := c.Link.validate("default link"); err != nil {
+	if err := c.Link.Validate("default link"); err != nil {
 		return err
 	}
-	idxs := make([]int, 0, len(c.PerLink))
-	for i := range c.PerLink {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		if i < 0 || i >= computers {
-			return fmt.Errorf("netfault: per-link override for computer %d outside [0,%d)", i, computers)
-		}
-		if err := c.PerLink[i].validate(fmt.Sprintf("link %d", i)); err != nil {
-			return err
-		}
-	}
-	for k, p := range c.Partitions {
-		if p.From < 0 || p.To <= p.From {
-			return fmt.Errorf("netfault: partition %d window [%g,%g) is not a forward interval", k, p.From, p.To)
-		}
-		for _, i := range p.Links {
-			if i < 0 || i >= computers {
-				return fmt.Errorf("netfault: partition %d cuts link %d outside [0,%d)", k, i, computers)
-			}
-		}
+	if err := ValidateLinks("netfault: ", "link", "cuts link", c.PerLink, c.Partitions, computers); err != nil {
+		return err
 	}
 	if d := c.Dispatcher; d != nil {
 		if d.Uptime == nil || d.Downtime == nil {
