@@ -9,7 +9,7 @@ BENCH_BASELINE ?= BENCH_2026-08-06.json
 # hardware differs from the baseline machine; locally 10% is realistic.
 BENCH_THRESHOLD ?= 0.10
 
-.PHONY: all build test check race stress vet fmt clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke perf-smoke chaos-smoke benchcheck bench-baseline
+.PHONY: all build test check race stress vet fmt clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke perf-smoke chaos-smoke benchcheck bench-baseline loc
 
 all: build
 
@@ -157,6 +157,15 @@ benchcheck:
 # bench-baseline re-records the committed baseline on this machine.
 bench-baseline:
 	$(GO) run ./cmd/benchreg baseline -out $(BENCH_BASELINE)
+
+# loc prints the non-test Go lines of every package in the module and
+# their total: information for reviewing deletions, not a gate.
+loc:
+	@$(GO) list -f '{{.Dir}}|{{.ImportPath}}|{{join .GoFiles " "}}' ./... | \
+	while IFS='|' read -r dir pkg files; do \
+		[ -n "$$files" ] || continue; \
+		printf '%7d  %s\n' "$$(cd "$$dir" && cat $$files | wc -l)" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
 
 fmt:
 	gofmt -w $$($(GO) list -f '{{.Dir}}' ./...)
