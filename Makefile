@@ -9,7 +9,7 @@ BENCH_BASELINE ?= BENCH_2026-08-06.json
 # hardware differs from the baseline machine; locally 10% is realistic.
 BENCH_THRESHOLD ?= 0.10
 
-.PHONY: all build test check race stress vet fmt clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke perf-smoke chaos-smoke benchcheck bench-baseline loc
+.PHONY: all build test check race stress vet fmt clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke sweep-smoke perf-smoke chaos-smoke benchcheck bench-baseline loc
 
 all: build
 
@@ -119,6 +119,22 @@ ctrl-smoke:
 		> ctrl-out/report.txt
 	$(GO) run ./cmd/probecheck -manifest ctrl-out/manifest.json \
 		-events ctrl-out/events.jsonl -require-terminal
+
+# sweep-smoke runs a short two-policy utilization sweep with every
+# layer family the sweep shares with heterosim turned on (compute
+# faults, overload protection, network faults, control-plane faults),
+# instrumented with one event stream per cell and a manifest, and
+# validates the manifest and one cell's stream with probecheck.
+sweep-smoke:
+	mkdir -p sweep-out/events
+	$(GO) run ./cmd/sweep -speeds 1,1,2,10 -policies 'ORR,jsq(2)' \
+		-from 0.5 -to 0.7 -step 0.2 -duration 1e4 -reps 2 \
+		-mtbf 2e4 -mttr 500 -qcap 50 -timeout 300 -retry 1 \
+		-netfault loss:0.05,lat:2 -ackto 30 -ctrl loss:0.1,lat:2,qto:30 -probe \
+		-events sweep-out/events -manifest sweep-out/manifest.json \
+		> sweep-out/report.txt
+	$(GO) run ./cmd/probecheck -manifest sweep-out/manifest.json \
+		-events sweep-out/events/ORR-rho0.5.jsonl -require-terminal
 
 # perf-smoke runs the benchmark module's own tests, then every
 # benchmark workload once for a few seconds, and fails unless each JSON

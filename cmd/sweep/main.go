@@ -51,9 +51,6 @@ import (
 	"heterosched/internal/cli"
 	"heterosched/internal/cluster"
 	"heterosched/internal/ctrlplane"
-	"heterosched/internal/drift"
-	"heterosched/internal/faults"
-	"heterosched/internal/netfault"
 	"heterosched/internal/probe"
 	"heterosched/internal/report"
 	"heterosched/internal/stats"
@@ -62,9 +59,6 @@ import (
 func main() {
 	speedsFlag := flag.String("speeds", "1,1,2,10", "comma-separated relative computer speeds")
 	policiesFlag := flag.String("policies", "WRAN,ORAN,WRR,ORR,LL", "comma-separated policies")
-	dispatchersFlag := flag.String("dispatchers", "1", "dispatcher replicas K[:rr|hash] applied to every policy (1 = central scheduler)")
-	syncFlag := flag.String("sync", "never", "counter-sync period for sharded Algorithm 2 replicas: never or seconds")
-	scale := flag.Int("scale", 0, "tile -speeds cyclically out to this many computers (0 = use -speeds as given)")
 	from := flag.Float64("from", 0.3, "first utilization")
 	to := flag.Float64("to", 0.9, "last utilization (inclusive)")
 	step := flag.Float64("step", 0.1, "utilization step")
@@ -73,42 +67,17 @@ func main() {
 	seed := flag.Uint64("seed", 1, "root seed")
 	cv := flag.Float64("cv", 3.0, "arrival CV (1 = Poisson)")
 	csvPath := flag.String("csv", "", "also write the response-ratio table as CSV")
-	mtbf := flag.Float64("mtbf", 0, "mean time between failures per computer (exponential); 0 disables failures")
-	mttr := flag.Float64("mttr", 0, "mean time to repair per computer (exponential)")
-	fate := flag.String("fate", "requeue", "job fate at failure: lost, restart, resume or requeue")
-	retries := flag.Int("retries", 3, "re-dispatch budget per job under -fate requeue")
-	detect := flag.Float64("detect", 0, "failure/repair detection lag in seconds")
-	realloc := flag.String("realloc", "stale", "static policies on failure: stale (keep fractions) or resolve (re-run allocator)")
-	qcap := flag.String("qcap", "", "per-computer queue bound: K or K:oldest|newest (0/empty disables)")
-	admit := flag.String("admit", "none", "admission policy: none, reject-when-full or token-bucket:RATE[:BURST]")
-	deadline := flag.String("deadline", "", "per-job relative deadline: exp:MEAN, const:V or uni:LO:HI, optional :kill|:mark")
-	timeout := flag.Float64("timeout", 0, "dispatcher timeout in seconds before a job is pulled back and retried (0 disables)")
-	retry := flag.Int("retry", 0, "retry budget per job after timeouts and rejections")
-	backoff := flag.String("backoff", "", "retry backoff BASE:MAX[:JITTER] in seconds (default 1:60:0)")
-	breaker := flag.String("breaker", "", "per-computer circuit breaker CONSEC:COOLDOWN[:RATIO:WINDOW] (empty disables)")
 	probeFlag := flag.Bool("probe", false, "instrument one extra pass per cell and report interarrival CVs")
 	events := flag.String("events", "", "directory receiving one JSONL lifecycle event stream per sweep cell")
 	manifestPath := flag.String("manifest", "", "write a sweep manifest (config, seed, git, wall/sim time, metrics) to this JSON file")
 	sampleDT := flag.Float64("sample-dt", 0, "also sample probe series every this many simulated seconds (implies -probe)")
 	debugAddr := flag.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
-	driftFlag := flag.String("drift", "", "ground-truth drift specs, comma-separated: lstep:T:F, lramp:T0:T1:F, lcycle:P:A, sstep:T:F[:IDX], mis:RHOERR[:SPEEDERR]")
-	replan := flag.String("replan", "", "adaptive re-planning CHECK:TRIP:COOLDOWN[:BAND[:MINN]] (empty disables)")
-	estimator := flag.String("estimator", "", "online estimator win:N or ewma:ALPHA (default win:256; needs -replan)")
-	netfaultFlag := flag.String("netfault", "", "network-fault specs, comma-separated: loss:P[:LINK], dup:P[:LINK], lat:MEAN[:LINK], crash:MTBF:MTTR, down:drop|buffer[:CAP]|failover, part:FROM:TO[:L1+L2+...]")
-	ackto := flag.String("ackto", "", "dispatch ack timeout TO[:BUDGET[:BASE:MAX[:JITTER]]]; required when the network can lose messages")
-	dstate := flag.String("dstate", "", "dispatcher state recovery after a crash: acks, ckpt:DT[:CLIENTTO] or cold[:RELEARN[:CLIENTTO]] (needs a crash item)")
-	ctrlFlag := flag.String("ctrl", "", "control-plane fault specs, comma-separated: loss:P[:LINK], dup:P[:LINK], lat:MEAN[:LINK], lease:T, qto:T, part:FROM:TO[:L1+L2+...], dpart:FROM:TO[:K1+K2+...]")
+	var layers cli.LayerFlags
+	layers.Register(flag.CommandLine)
 	flag.Parse()
 	start := time.Now()
 
 	speeds, err := cli.ParseSpeeds(*speedsFlag)
-	if err != nil {
-		fatal(err)
-	}
-	if speeds, err = cli.ScaleSpeeds(speeds, *scale); err != nil {
-		fatal(err)
-	}
-	sharding, err := cli.ParseShardingSpecs(*dispatchersFlag, *syncFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -124,6 +93,14 @@ func main() {
 		SampleDT: *sampleDT, DebugAddr: *debugAddr,
 	}
 	if err := pp.Validate(); err != nil {
+		fatal(err)
+	}
+	cfg, opts, err := layers.Build(speeds)
+	if err != nil {
+		fatal(err)
+	}
+	names, factories, err := cli.ParsePolicies(*policiesFlag, opts)
+	if err != nil {
 		fatal(err)
 	}
 	if pp.Events != "" {
@@ -143,51 +120,17 @@ func main() {
 		}()
 		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/vars\n", addr)
 	}
-	faultCfg, mode, err := cli.FaultParams{
-		MTBF: *mtbf, MTTR: *mttr, Fate: *fate, Retries: *retries, Detect: *detect, Realloc: *realloc,
-	}.Build()
-	if err != nil {
-		fatal(err)
-	}
-	ovCfg, err := cli.OverloadParams{
-		QCap: *qcap, Admit: *admit, Deadline: *deadline,
-		Timeout: *timeout, Retry: *retry, Backoff: *backoff, Breaker: *breaker,
-	}.Build()
-	if err != nil {
-		fatal(err)
-	}
-	driftCfg, adaptCfg, err := cli.DriftParams{
-		Drift: *driftFlag, Replan: *replan, Estimator: *estimator,
-	}.Build(len(speeds))
-	if err != nil {
-		fatal(err)
-	}
-	netfaultCfg, err := cli.NetfaultParams{
-		Netfault: *netfaultFlag, AckTO: *ackto, DState: *dstate,
-	}.Build(len(speeds))
-	if err != nil {
-		fatal(err)
-	}
-	ctrlCfg, err := cli.CtrlParams{Ctrl: *ctrlFlag}.Build(len(speeds), sharding.Dispatchers)
-	if err != nil {
-		fatal(err)
-	}
-	names, factories, err := cli.ParsePolicies(*policiesFlag, cli.PolicyOptions{
-		Realloc:   mode,
-		Faults:    faultCfg,
-		Computers: len(speeds),
-		Sharding:  sharding,
-	})
-	if err != nil {
-		fatal(err)
-	}
+	cfg.Duration = *duration
+	cfg.Seed = *seed
+	cfg.ArrivalCV = *cv
+	cfg.ExponentialArrivals = *cv == 1
 
 	rhos := sweepValues(*from, *to, *step)
 	if len(rhos) == 0 {
 		fatal(fmt.Errorf("empty sweep: from=%v to=%v step=%v", *from, *to, *step))
 	}
 
-	tables, csvTable, probeMetrics, err := runSweep(speeds, rhos, names, factories, *duration, *reps, *seed, *cv, faultCfg, ovCfg, driftCfg, adaptCfg, netfaultCfg, ctrlCfg, pp, sharding.Enabled())
+	tables, csvTable, probeMetrics, err := runSweep(cfg, rhos, names, factories, *reps, pp, opts.Sharding.Enabled())
 	if err != nil {
 		fatal(err)
 	}
@@ -211,7 +154,7 @@ func main() {
 	if pp.Manifest != "" {
 		m := probe.NewManifest("sweep", os.Args[1:], start)
 		m.Seed = *seed
-		m.Config["speeds"] = speeds
+		m.Config["speeds"] = cfg.Speeds
 		m.Config["policies"] = *policiesFlag
 		m.Config["from"] = *from
 		m.Config["to"] = *to
@@ -219,31 +162,7 @@ func main() {
 		m.Config["duration"] = *duration
 		m.Config["reps"] = *reps
 		m.Config["cv"] = *cv
-		if driftCfg != nil {
-			m.Config["drift"] = *driftFlag
-		}
-		if adaptCfg != nil {
-			m.Config["replan"] = *replan
-		}
-		if sharding.Enabled() {
-			m.Config["dispatchers"] = *dispatchersFlag
-			m.Config["sync"] = *syncFlag
-		}
-		if *scale > 0 {
-			m.Config["scale"] = *scale
-		}
-		if netfaultCfg != nil {
-			m.Config["netfault"] = *netfaultFlag
-			if *ackto != "" {
-				m.Config["ackto"] = *ackto
-			}
-			if *dstate != "" {
-				m.Config["dstate"] = *dstate
-			}
-		}
-		if ctrlCfg != nil {
-			m.Config["ctrl"] = *ctrlFlag
-		}
+		layers.Record(m.Config, cfg, opts)
 		if pp.SampleDT > 0 {
 			m.Config["sample_dt"] = pp.SampleDT
 		}
@@ -277,34 +196,34 @@ func sweepValues(from, to, step float64) []float64 {
 	return out
 }
 
-// runSweep executes the sweep and renders the metric tables; the second
-// return is the response-ratio table (for CSV output). With a fault
-// config, two extra tables report jobs lost and the degraded-window mean
-// response time per point; with an overload config, three more report
-// goodput, drops and deadline misses. With probe instrumentation active,
-// one extra uninstrumented-identical pass runs per cell and the third
-// return carries per-cell probe metrics for the manifest.
+// runSweep executes the sweep over base, a cluster.Config template
+// holding everything but the utilization, and renders the metric
+// tables; the second return is the response-ratio table (for CSV
+// output). With a fault config, two extra tables report jobs lost and
+// the degraded-window mean response time per point; with an overload
+// config, three more report goodput, drops and deadline misses. With
+// probe instrumentation active, one extra uninstrumented-identical pass
+// runs per cell and the third return carries per-cell probe metrics for
+// the manifest.
 //
 // A cell whose run fails — typically an infeasible allocation
 // (alloc.ErrBadInput) at extreme rho or degenerate speeds — is skipped:
 // its cells render as "-" and a table note names the cell and the
 // error, instead of aborting the whole sweep.
-func runSweep(speeds, rhos []float64, names []string, factories []cluster.PolicyFactory,
-	duration float64, reps int, seed uint64, cv float64, faultCfg *faults.Config,
-	ovCfg *cluster.OverloadConfig, driftCfg *drift.Config, adaptCfg *cluster.AdaptConfig,
-	nfCfg *netfault.Config, ctrlCfg *ctrlplane.Config, pp cli.ProbeParams, sharded bool,
+func runSweep(base cluster.Config, rhos []float64, names []string, factories []cluster.PolicyFactory,
+	reps int, pp cli.ProbeParams, sharded bool,
 ) ([]*report.Table, *report.Table, map[string]float64, error) {
 	headers := append([]string{"rho"}, names...)
 	ratio := report.NewTable("mean response ratio", headers...)
 	timeT := report.NewTable("mean response time (s)", headers...)
 	fair := report.NewTable("fairness (sd of response ratio)", headers...)
-	withFaults := faultCfg.Enabled()
+	withFaults := base.Faults.Enabled()
 	var lostT, degT *report.Table
 	if withFaults {
 		lostT = report.NewTable("jobs lost (mean per replication)", headers...)
 		degT = report.NewTable("mean response time in degraded windows (s)", headers...)
 	}
-	withOverload := ovCfg.Enabled()
+	withOverload := base.Overload.Enabled()
 	var goodT, dropT, missT, pctT *report.Table
 	if withOverload {
 		goodT = report.NewTable("goodput (jobs completed in time, sum across replications)", headers...)
@@ -313,13 +232,13 @@ func runSweep(speeds, rhos []float64, names []string, factories []cluster.Policy
 		pctT = report.NewTable("resp time p50/p90/p99/p999 (s, streaming histograms merged across replications)", headers...)
 		pctT.AddNote("log-bucketed bins (no retained samples): each quantile carries relative error at most the bin-edge ratio minus one, ~6%% for the 400-bin [1e-3,1e7) geometry")
 	}
-	withNetfault := nfCfg.Enabled()
+	withNetfault := base.Netfault.Enabled()
 	var netT, resubT *report.Table
 	if withNetfault {
 		netT = report.NewTable("jobs lost to the network + dropped by the dispatcher (sum across replications)", headers...)
 		resubT = report.NewTable("network resubmissions (sum across replications)", headers...)
 	}
-	withCtrl := ctrlCfg.Enabled()
+	withCtrl := base.Ctrl.Enabled()
 	var ctrlLostT, ctrlWaitT *report.Table
 	if withCtrl {
 		ctrlLostT = report.NewTable("control messages lost (tokens + queries + sync frames, sum across replications)", headers...)
@@ -362,22 +281,8 @@ func runSweep(speeds, rhos []float64, names []string, factories []cluster.Policy
 		rowCL := []string{report.F(rho)}
 		rowCW := []string{report.F(rho)}
 		for k, f := range factories {
-			cfg := cluster.Config{
-				Speeds:      speeds,
-				Utilization: rho,
-				Duration:    duration,
-				Seed:        seed,
-				ArrivalCV:   cv,
-				Faults:      faultCfg,
-				Overload:    ovCfg,
-				Drift:       driftCfg,
-				Adapt:       adaptCfg,
-				Netfault:    nfCfg,
-				Ctrl:        ctrlCfg,
-			}
-			if cv == 1 {
-				cfg.ExponentialArrivals = true
-			}
+			cfg := base
+			cfg.Utilization = rho
 			res, err := cluster.RunReplications(cfg, f, reps)
 			if err != nil {
 				// Skip the bad cell instead of aborting the sweep: fill
@@ -518,13 +423,13 @@ func runSweep(speeds, rhos []float64, names []string, factories []cluster.Policy
 			decompT.AddRow(rowDC...)
 		}
 	}
-	note := fmt.Sprintf("%d replications × %.3g s per point, arrival CV %.3g", reps, duration, cv)
+	note := fmt.Sprintf("%d replications × %.3g s per point, arrival CV %.3g", reps, base.Duration, base.ArrivalCV)
 	if withFaults {
 		note += fmt.Sprintf("; failures MTBF %s, MTTR %s, fate %s",
-			faultCfg.Uptime, faultCfg.Downtime, faultCfg.Fate)
+			base.Faults.Uptime, base.Faults.Downtime, base.Faults.Fate)
 	}
 	if withOverload {
-		note += fmt.Sprintf("; overload protection: admission %s, queue cap %d", ovCfg.Admission, ovCfg.QueueCap)
+		note += fmt.Sprintf("; overload protection: admission %s, queue cap %d", base.Overload.Admission, base.Overload.QueueCap)
 	}
 	if withNetfault {
 		note += "; network faults enabled (see the netfault tables)"

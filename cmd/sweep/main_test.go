@@ -66,8 +66,7 @@ func TestRunSweepSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, csvT, _, err := runSweep([]float64{1, 2}, []float64{0.4, 0.6}, names, factories,
-		5000, 2, 1, 1, nil, nil, nil, nil, nil, nil, cli.ProbeParams{}, false)
+	tables, csvT, _, err := runSweep(sweepBase(5000), []float64{0.4, 0.6}, names, factories, 2, cli.ProbeParams{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +94,9 @@ func TestRunSweepWithFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	factories = append(factories, f)
-	tables, _, _, err := runSweep([]float64{1, 2}, []float64{0.3}, names, factories,
-		1e4, 2, 1, 1, fc, nil, nil, nil, nil, nil, cli.ProbeParams{}, false)
+	base := sweepBase(1e4)
+	base.Faults = fc
+	tables, _, _, err := runSweep(base, []float64{0.3}, names, factories, 2, cli.ProbeParams{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,9 @@ func TestRunSweepWithOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, _, _, err := runSweep([]float64{1, 2}, []float64{0.8, 1.2}, names, factories,
-		1e4, 2, 1, 1, nil, ovCfg, nil, nil, nil, nil, cli.ProbeParams{}, false)
+	base := sweepBase(1e4)
+	base.Overload = ovCfg
+	tables, _, _, err := runSweep(base, []float64{0.8, 1.2}, names, factories, 2, cli.ProbeParams{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +152,7 @@ func TestRunSweepWithProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	pp := cli.ProbeParams{Probe: true, Events: dir}
-	tables, _, metrics, err := runSweep([]float64{1, 2}, []float64{0.5}, names, factories,
-		1e4, 1, 1, 1, nil, nil, nil, nil, nil, nil, pp, false)
+	tables, _, metrics, err := runSweep(sweepBase(1e4), []float64{0.5}, names, factories, 1, pp, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +198,7 @@ func TestRunSweepSkipsBadCells(t *testing.T) {
 	}
 	names = append(names, "BAD")
 	factories = append(factories, func() cluster.Policy { return badInitPolicy{} })
-	tables, csvT, _, err := runSweep([]float64{1, 2}, []float64{0.4, 0.6}, names, factories,
-		5000, 2, 1, 1, nil, nil, nil, nil, nil, nil, cli.ProbeParams{}, false)
+	tables, csvT, _, err := runSweep(sweepBase(5000), []float64{0.4, 0.6}, names, factories, 2, cli.ProbeParams{}, false)
 	if err != nil {
 		t.Fatalf("sweep aborted on a bad cell: %v", err)
 	}
@@ -240,8 +239,10 @@ func TestRunSweepWithDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, _, _, err := runSweep([]float64{1, 2}, []float64{0.4}, names, factories,
-		1e4, 2, 1, 1, nil, nil, driftCfg, adaptCfg, nil, nil, cli.ProbeParams{}, false)
+	base := sweepBase(1e4)
+	base.Drift = driftCfg
+	base.Adapt = adaptCfg
+	tables, _, _, err := runSweep(base, []float64{0.4}, names, factories, 2, cli.ProbeParams{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +265,9 @@ func TestRunSweepWithNetfault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, _, _, err := runSweep([]float64{1, 2}, []float64{0.4}, names, factories,
-		1e4, 2, 1, 1, nil, nil, nil, nil, nfCfg, nil, cli.ProbeParams{}, false)
+	base := sweepBase(1e4)
+	base.Netfault = nfCfg
+	tables, _, _, err := runSweep(base, []float64{0.4}, names, factories, 2, cli.ProbeParams{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +295,9 @@ func TestRunSweepWithCtrl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, _, _, err := runSweep([]float64{1, 2}, []float64{0.4}, names, factories,
-		1e4, 2, 1, 1, nil, nil, nil, nil, nil, ctrlCfg, cli.ProbeParams{}, false)
+	base := sweepBase(1e4)
+	base.Ctrl = ctrlCfg
+	tables, _, _, err := runSweep(base, []float64{0.4}, names, factories, 2, cli.ProbeParams{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,4 +318,10 @@ func TestRunSweepWithCtrl(t *testing.T) {
 	if !cell.MatchString(wait) {
 		t.Errorf("query-wait row shape wrong (want ORR \"-\", jsq numeric):\n%s", wait)
 	}
+}
+
+// sweepBase is the template the runSweep tests start from: two
+// computers, seed 1, Poisson arrivals.
+func sweepBase(duration float64) cluster.Config {
+	return cluster.Config{Speeds: []float64{1, 2}, Duration: duration, Seed: 1, ArrivalCV: 1, ExponentialArrivals: true}
 }

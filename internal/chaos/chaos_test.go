@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"reflect"
@@ -29,6 +30,54 @@ func TestSpecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(back, s) {
 			t.Fatalf("scenario %d: round trip changed the struct: %+v vs %+v", k, back, s)
 		}
+	}
+}
+
+// TestSpecKeysAreLayerFlags: the scenario keys for layer settings are
+// exactly the flags cli.LayerFlags registers; only the scenario-only
+// keys differ. A spec with every key set round-trips through its
+// string.
+func TestSpecKeysAreLayerFlags(t *testing.T) {
+	scenarioOnly := []string{"seed", "speeds", "rho", "dur", "policy", "stall", "insys"}
+	want := map[string]bool{}
+	for _, k := range scenarioOnly {
+		want[k] = true
+	}
+	var lf cli.LayerFlags
+	fs := flag.NewFlagSet("layers", flag.ContinueOnError)
+	lf.Register(fs)
+	fs.VisitAll(func(f *flag.Flag) {
+		if want[f.Name] {
+			t.Errorf("layer flag -%s collides with a scenario-only key", f.Name)
+		}
+		want[f.Name] = true
+		v := "x"
+		switch f.Value.(flag.Getter).Get().(type) {
+		case int:
+			v = "2"
+		case float64:
+			v = "1.5"
+		}
+		if err := fs.Set(f.Name, v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	s := Spec{Seed: 3, Speeds: []float64{1, 2}, Rho: 0.5, Duration: 100, Policy: "ORR",
+		LayerFlags: lf, Stall: 10, MaxInSystem: 50}
+	got := map[string]bool{}
+	for _, item := range strings.Split(s.String(), ";") {
+		key, _, _ := strings.Cut(item, "=")
+		got[key] = true
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("scenario keys %v, want the layer flags plus %v", got, scenarioOnly)
+	}
+	back, err := ParseSpec(s.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, s) {
+		t.Errorf("round trip changed the spec:\n  %+v\n  %+v", back, s)
 	}
 }
 
@@ -426,9 +475,11 @@ func TestCompoundDispatcherCrashSharded(t *testing.T) {
 		Seed:     11,
 		Rho:      0.6,
 		Duration: 20000,
-		Netfault: "loss:0.05,lat:5,crash:5000:200,down:buffer",
-		AckTO:    "60:4",
-		DState:   "acks",
+		LayerFlags: cli.LayerFlags{
+			Netfault: "loss:0.05,lat:5,crash:5000:200,down:buffer",
+			AckTO:    "60:4",
+			DState:   "acks",
+		},
 	}
 	cases := []struct {
 		label       string

@@ -2,7 +2,6 @@ package cli
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -96,16 +95,6 @@ func ParseChaosSpec(s string) (*ChaosSearch, error) {
 			return nil, fmt.Errorf("duplicate chaos item %q", kind)
 		}
 		seen[kind] = true
-		num := func(what string) (float64, error) {
-			v, err := strconv.ParseFloat(rest, 64)
-			if err != nil {
-				return 0, fmt.Errorf("bad %s %q: %v", what, rest, err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, fmt.Errorf("%s %v must be finite", what, v)
-			}
-			return v, nil
-		}
 		switch kind {
 		case "seeds":
 			n, err := strconv.Atoi(rest)
@@ -117,7 +106,7 @@ func ParseChaosSpec(s string) (*ChaosSearch, error) {
 			}
 			cs.Scenarios = n
 		case "intensity":
-			v, err := num("intensity")
+			v, err := ParseNum(rest, "intensity", false)
 			if err != nil {
 				return nil, err
 			}
@@ -149,7 +138,7 @@ func ParseChaosSpec(s string) (*ChaosSearch, error) {
 				return nil, fmt.Errorf("empty dims %q (want at least one of fail, over, drift, net, ctrl)", item)
 			}
 		case "dur":
-			v, err := num("duration")
+			v, err := ParseNum(rest, "duration", false)
 			if err != nil {
 				return nil, err
 			}
@@ -158,7 +147,7 @@ func ParseChaosSpec(s string) (*ChaosSearch, error) {
 			}
 			cs.Duration = v
 		case "rho":
-			v, err := num("rho")
+			v, err := ParseNum(rest, "rho", false)
 			if err != nil {
 				return nil, err
 			}
@@ -179,7 +168,7 @@ func ParseChaosSpec(s string) (*ChaosSearch, error) {
 			}
 			cs.Seed = v
 		case "stall":
-			v, err := num("stall horizon")
+			v, err := ParseNum(rest, "stall horizon", false)
 			if err != nil {
 				return nil, err
 			}

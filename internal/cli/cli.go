@@ -1,6 +1,7 @@
 // Package cli holds the input parsing and validation shared by the
 // command-line front ends (cmd/heterosim, cmd/sweep): speed lists, run
-// parameters, the policy-mnemonic parser, and the failure-model flags.
+// parameters, the policy-mnemonic parser, and the layer flags
+// (LayerFlags in layers.go, built from the per-layer *Params types).
 // Everything is validated up front with actionable messages, so bad
 // flags never reach the panicking constructors deeper in the stack.
 package cli

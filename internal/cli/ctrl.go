@@ -2,13 +2,9 @@ package cli
 
 import (
 	"fmt"
-	"math"
-	"strconv"
 	"strings"
 
 	"heterosched/internal/ctrlplane"
-	"heterosched/internal/dist"
-	"heterosched/internal/netfault"
 )
 
 // This file parses the -ctrl flag shared by the front ends: the physical
@@ -54,92 +50,12 @@ func ParseCtrlSpec(s string) (*ctrlplane.Config, error) {
 		return nil, nil
 	}
 	cfg := &ctrlplane.Config{}
-	patches := map[int]*linkPatch{}
-	patchFor := func(idx int) *linkPatch {
-		p := patches[idx]
-		if p == nil {
-			p = &linkPatch{}
-			patches[idx] = p
-		}
-		return p
-	}
-	haveDefault := map[string]bool{}
+	var links linkItems
 	haveLease, haveQTO := false, false
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		kind, rest, _ := strings.Cut(item, ":")
-		kind = strings.TrimSpace(kind)
-		parts := []string{}
-		if rest != "" {
-			parts = strings.Split(rest, ":")
-		}
-		num := func(i int, what string) (float64, error) {
-			v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
-			if err != nil {
-				return 0, fmt.Errorf("bad %s %q: %v", what, parts[i], err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, fmt.Errorf("%s %v must be finite", what, v)
-			}
-			return v, nil
-		}
+	err := eachItem(s, func(item, kind string, parts []string) error {
 		switch kind {
 		case "loss", "dup", "lat":
-			if len(parts) != 1 && len(parts) != 2 {
-				return nil, fmt.Errorf("bad spec %q (want %s:VALUE[:LINK])", item, kind)
-			}
-			v, err := num(0, kind+" value")
-			if err != nil {
-				return nil, err
-			}
-			if kind == "lat" && v < 0 {
-				return nil, fmt.Errorf("latency mean %g is negative", v)
-			}
-			if kind != "lat" && (v < 0 || v > 1) {
-				return nil, fmt.Errorf("%s probability %g outside [0, 1]", kind, v)
-			}
-			if len(parts) == 2 {
-				idx, err := strconv.Atoi(strings.TrimSpace(parts[1]))
-				if err != nil {
-					return nil, fmt.Errorf("bad link index %q: %v", parts[1], err)
-				}
-				if idx < 0 {
-					return nil, fmt.Errorf("link index %d must be >= 0 (omit for all links)", idx)
-				}
-				p := patchFor(idx)
-				var field **float64
-				switch kind {
-				case "loss":
-					field = &p.loss
-				case "dup":
-					field = &p.dup
-				default:
-					field = &p.lat
-				}
-				if *field != nil {
-					return nil, fmt.Errorf("duplicate %s item for link %d", kind, idx)
-				}
-				vv := v
-				*field = &vv
-				break
-			}
-			if haveDefault[kind] {
-				return nil, fmt.Errorf("duplicate default %s item %q", kind, item)
-			}
-			haveDefault[kind] = true
-			switch kind {
-			case "loss":
-				cfg.Link.Loss = v
-			case "dup":
-				cfg.Link.Dup = v
-			default:
-				if v > 0 {
-					cfg.Link.Latency = dist.Exponential{MeanVal: v}
-				}
-			}
+			return links.parse(item, kind, parts)
 		case "lease", "qto":
 			have := &haveLease
 			field := &cfg.Lease
@@ -148,48 +64,24 @@ func ParseCtrlSpec(s string) (*ctrlplane.Config, error) {
 				have, field, what = &haveQTO, &cfg.QueryTO, "query timeout"
 			}
 			if *have {
-				return nil, fmt.Errorf("duplicate %s item %q", kind, item)
+				return fmt.Errorf("duplicate %s item %q", kind, item)
 			}
 			*have = true
 			if len(parts) != 1 {
-				return nil, fmt.Errorf("bad spec %q (want %s:T)", item, kind)
+				return fmt.Errorf("bad spec %q (want %s:T)", item, kind)
 			}
-			v, err := num(0, what)
+			v, err := ParseNum(parts[0], what, false)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if v <= 0 {
-				return nil, fmt.Errorf("%s %g must be positive", what, v)
+				return fmt.Errorf("%s %g must be positive", what, v)
 			}
 			*field = v
 		case "part", "dpart":
-			if len(parts) != 2 && len(parts) != 3 {
-				return nil, fmt.Errorf("bad spec %q (want %s:FROM:TO[:L1+L2+...])", item, kind)
-			}
-			from, err := num(0, "partition start")
+			p, err := parsePartition(item, kind, parts)
 			if err != nil {
-				return nil, err
-			}
-			to, err := num(1, "partition end")
-			if err != nil {
-				return nil, err
-			}
-			p := netfault.Partition{From: from, To: to}
-			if len(parts) == 3 {
-				for _, tok := range strings.Split(parts[2], "+") {
-					tok = strings.TrimSpace(tok)
-					if tok == "" {
-						return nil, fmt.Errorf("bad spec %q: empty link in list", item)
-					}
-					idx, err := strconv.Atoi(tok)
-					if err != nil {
-						return nil, fmt.Errorf("bad partition link %q: %v", tok, err)
-					}
-					if idx < 0 {
-						return nil, fmt.Errorf("partition link %d must be >= 0", idx)
-					}
-					p.Links = append(p.Links, idx)
-				}
+				return err
 			}
 			if kind == "part" {
 				cfg.Partitions = append(cfg.Partitions, p)
@@ -197,30 +89,14 @@ func ParseCtrlSpec(s string) (*ctrlplane.Config, error) {
 				cfg.SyncPartitions = append(cfg.SyncPartitions, p)
 			}
 		default:
-			return nil, fmt.Errorf("unknown ctrl spec %q (want loss:P[:LINK], dup:P[:LINK], lat:MEAN[:LINK], lease:T, qto:T, part:FROM:TO[:L1+L2+...], or dpart:FROM:TO[:K1+K2+...])", item)
+			return fmt.Errorf("unknown ctrl spec %q (want loss:P[:LINK], dup:P[:LINK], lat:MEAN[:LINK], lease:T, qto:T, part:FROM:TO[:L1+L2+...], or dpart:FROM:TO[:K1+K2+...])", item)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Materialize the per-link patches over the default link model.
-	if len(patches) > 0 {
-		cfg.PerLink = make(map[int]netfault.Link, len(patches))
-		for idx, p := range patches {
-			l := cfg.Link
-			if p.lat != nil {
-				if *p.lat > 0 {
-					l.Latency = dist.Exponential{MeanVal: *p.lat}
-				} else {
-					l.Latency = nil
-				}
-			}
-			if p.loss != nil {
-				l.Loss = *p.loss
-			}
-			if p.dup != nil {
-				l.Dup = *p.dup
-			}
-			cfg.PerLink[idx] = l
-		}
-	}
+	cfg.Link, cfg.PerLink = links.links()
 	if !cfg.Enabled() {
 		return nil, nil
 	}

@@ -2,7 +2,6 @@ package cli
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -75,128 +74,102 @@ func ParseDriftSpec(s string) (*drift.Config, error) {
 	}
 	cfg := &drift.Config{}
 	haveMis := false
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		kind, rest, _ := strings.Cut(item, ":")
-		kind = strings.TrimSpace(kind)
-		parts := []string{}
-		if rest != "" {
-			parts = strings.Split(rest, ":")
-		}
-		num := func(i int, what string) (float64, error) {
-			v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
-			if err != nil {
-				return 0, fmt.Errorf("bad %s %q: %v", what, parts[i], err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, fmt.Errorf("%s %v must be finite", what, v)
-			}
-			return v, nil
-		}
+	err := eachItem(s, func(item, kind string, parts []string) error {
+		var err error
 		switch kind {
 		case "lstep", "lramp", "lcycle":
 			if cfg.Arrival != nil {
-				return nil, fmt.Errorf("duplicate arrival-rate schedule %q (at most one of lstep/lramp/lcycle)", item)
+				return fmt.Errorf("duplicate arrival-rate schedule %q (at most one of lstep/lramp/lcycle)", item)
 			}
 			switch kind {
 			case "lstep":
 				if len(parts) != 2 {
-					return nil, fmt.Errorf("bad spec %q (want lstep:T:FACTOR)", item)
+					return fmt.Errorf("bad spec %q (want lstep:T:FACTOR)", item)
 				}
-				at, err := num(0, "step time")
-				if err != nil {
-					return nil, err
+				var st drift.Step
+				if st.At, err = ParseNum(parts[0], "step time", false); err != nil {
+					return err
 				}
-				f, err := num(1, "step factor")
-				if err != nil {
-					return nil, err
+				if st.Factor, err = ParseNum(parts[1], "step factor", false); err != nil {
+					return err
 				}
-				cfg.Arrival = drift.Step{At: at, Factor: f}
+				cfg.Arrival = st
 			case "lramp":
 				if len(parts) != 3 {
-					return nil, fmt.Errorf("bad spec %q (want lramp:FROM:TO:FACTOR)", item)
+					return fmt.Errorf("bad spec %q (want lramp:FROM:TO:FACTOR)", item)
 				}
-				from, err := num(0, "ramp start")
-				if err != nil {
-					return nil, err
+				var r drift.Ramp
+				if r.From, err = ParseNum(parts[0], "ramp start", false); err != nil {
+					return err
 				}
-				to, err := num(1, "ramp end")
-				if err != nil {
-					return nil, err
+				if r.To, err = ParseNum(parts[1], "ramp end", false); err != nil {
+					return err
 				}
-				f, err := num(2, "ramp factor")
-				if err != nil {
-					return nil, err
+				if r.Factor, err = ParseNum(parts[2], "ramp factor", false); err != nil {
+					return err
 				}
-				cfg.Arrival = drift.Ramp{From: from, To: to, Factor: f}
+				cfg.Arrival = r
 			default:
 				if len(parts) != 2 {
-					return nil, fmt.Errorf("bad spec %q (want lcycle:PERIOD:AMPLITUDE)", item)
+					return fmt.Errorf("bad spec %q (want lcycle:PERIOD:AMPLITUDE)", item)
 				}
-				period, err := num(0, "cycle period")
-				if err != nil {
-					return nil, err
+				var c drift.Cycle
+				if c.Period, err = ParseNum(parts[0], "cycle period", false); err != nil {
+					return err
 				}
-				amp, err := num(1, "cycle amplitude")
-				if err != nil {
-					return nil, err
+				if c.Amplitude, err = ParseNum(parts[1], "cycle amplitude", false); err != nil {
+					return err
 				}
-				cfg.Arrival = drift.Cycle{Period: period, Amplitude: amp}
+				cfg.Arrival = c
 			}
 			// Validate the schedule here, not only in Config.Validate:
 			// the parser must reject a bad spec on its own (negative
 			// times, non-positive factors) so every caller gets the same
 			// verdict regardless of whether it runs deep validation.
-			if err := cfg.Arrival.Validate(); err != nil {
-				return nil, err
-			}
+			return cfg.Arrival.Validate()
 		case "sstep":
 			if len(parts) != 2 && len(parts) != 3 {
-				return nil, fmt.Errorf("bad spec %q (want sstep:T:FACTOR[:COMPUTER])", item)
+				return fmt.Errorf("bad spec %q (want sstep:T:FACTOR[:COMPUTER])", item)
 			}
-			at, err := num(0, "speed-step time")
-			if err != nil {
-				return nil, err
+			st := drift.SpeedStep{Computer: -1}
+			if st.At, err = ParseNum(parts[0], "speed-step time", false); err != nil {
+				return err
 			}
-			f, err := num(1, "speed-step factor")
-			if err != nil {
-				return nil, err
+			if st.Factor, err = ParseNum(parts[1], "speed-step factor", false); err != nil {
+				return err
 			}
-			idx := -1
 			if len(parts) == 3 {
-				if idx, err = strconv.Atoi(strings.TrimSpace(parts[2])); err != nil {
-					return nil, fmt.Errorf("bad speed-step computer %q: %v", parts[2], err)
+				if st.Computer, err = strconv.Atoi(strings.TrimSpace(parts[2])); err != nil {
+					return fmt.Errorf("bad speed-step computer %q: %v", parts[2], err)
 				}
-				if idx < 0 {
-					return nil, fmt.Errorf("speed-step computer %d must be >= 0 (omit for all computers)", idx)
+				if st.Computer < 0 {
+					return fmt.Errorf("speed-step computer %d must be >= 0 (omit for all computers)", st.Computer)
 				}
 			}
-			cfg.SpeedSteps = append(cfg.SpeedSteps, drift.SpeedStep{At: at, Computer: idx, Factor: f})
+			cfg.SpeedSteps = append(cfg.SpeedSteps, st)
 		case "mis":
 			if haveMis {
-				return nil, fmt.Errorf("duplicate misestimation spec %q", item)
+				return fmt.Errorf("duplicate misestimation spec %q", item)
 			}
 			if len(parts) != 1 && len(parts) != 2 {
-				return nil, fmt.Errorf("bad spec %q (want mis:RHOERR[:SPEEDERR])", item)
+				return fmt.Errorf("bad spec %q (want mis:RHOERR[:SPEEDERR])", item)
 			}
-			rhoErr, err := num(0, "rho error")
-			if err != nil {
-				return nil, err
+			if cfg.Misest.RhoErr, err = ParseNum(parts[0], "rho error", false); err != nil {
+				return err
 			}
-			speedErr := 0.0
 			if len(parts) == 2 {
-				if speedErr, err = num(1, "speed error"); err != nil {
-					return nil, err
+				if cfg.Misest.SpeedErr, err = ParseNum(parts[1], "speed error", false); err != nil {
+					return err
 				}
 			}
-			cfg.Misest = drift.Misest{RhoErr: rhoErr, SpeedErr: speedErr}
 			haveMis = true
 		default:
-			return nil, fmt.Errorf("unknown drift spec %q (want lstep:T:F, lramp:T0:T1:F, lcycle:P:A, sstep:T:F[:IDX] or mis:RHOERR[:SPEEDERR])", item)
+			return fmt.Errorf("unknown drift spec %q (want lstep:T:F, lramp:T0:T1:F, lcycle:P:A, sstep:T:F[:IDX] or mis:RHOERR[:SPEEDERR])", item)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if !cfg.Enabled() {
 		return nil, nil
@@ -252,34 +225,24 @@ func ParseReplanSpec(s string) (*cluster.AdaptConfig, error) {
 	if len(parts) < 3 || len(parts) > 5 {
 		return nil, fmt.Errorf("bad replan spec %q (want CHECK:TRIP:COOLDOWN[:BAND[:MINN]])", s)
 	}
-	num := func(i int, what string) (float64, error) {
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s %q: %v", what, parts[i], err)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("%s %v must be finite", what, v)
-		}
-		return v, nil
-	}
-	check, err := num(0, "check interval")
+	check, err := ParseNum(parts[0], "check interval", false)
 	if err != nil {
 		return nil, err
 	}
 	if !(check > 0) {
 		return nil, fmt.Errorf("check interval %v must be positive", check)
 	}
-	trip, err := num(1, "trip threshold")
+	trip, err := ParseNum(parts[1], "trip threshold", false)
 	if err != nil {
 		return nil, err
 	}
-	cooldown, err := num(2, "cooldown")
+	cooldown, err := ParseNum(parts[2], "cooldown", false)
 	if err != nil {
 		return nil, err
 	}
 	cfg := &cluster.AdaptConfig{CheckInterval: check, RhoTrip: trip, Cooldown: cooldown}
 	if len(parts) >= 4 {
-		if cfg.Band, err = num(3, "hysteresis band"); err != nil {
+		if cfg.Band, err = ParseNum(parts[3], "hysteresis band", false); err != nil {
 			return nil, err
 		}
 	}

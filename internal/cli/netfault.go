@@ -2,7 +2,6 @@ package cli
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -77,12 +76,6 @@ func (p NetfaultParams) Build(computers int) (*netfault.Config, error) {
 	return cfg, nil
 }
 
-// linkPatch is one link's partially-specified override; unset fields
-// inherit the default link model.
-type linkPatch struct {
-	lat, loss, dup *float64
-}
-
 // ParseNetfaultSpec parses a comma-separated network-fault item list:
 // link models (loss/dup/lat, with an optional per-link index), the
 // dispatcher crash renewal (crash:MTBF:MTTR), the downtime arrival
@@ -94,116 +87,29 @@ func ParseNetfaultSpec(s string) (*netfault.Config, error) {
 		return nil, nil
 	}
 	cfg := &netfault.Config{}
-	patches := map[int]*linkPatch{}
-	patchFor := func(idx int) *linkPatch {
-		p := patches[idx]
-		if p == nil {
-			p = &linkPatch{}
-			patches[idx] = p
-		}
-		return p
-	}
+	var links linkItems
 	haveDown := false
-	haveDefault := map[string]bool{}
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		kind, rest, _ := strings.Cut(item, ":")
-		kind = strings.TrimSpace(kind)
-		parts := []string{}
-		if rest != "" {
-			parts = strings.Split(rest, ":")
-		}
-		num := func(i int, what string) (float64, error) {
-			v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
-			if err != nil {
-				return 0, fmt.Errorf("bad %s %q: %v", what, parts[i], err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, fmt.Errorf("%s %v must be finite", what, v)
-			}
-			return v, nil
-		}
-		linkIdx := func(i int) (int, error) {
-			idx, err := strconv.Atoi(strings.TrimSpace(parts[i]))
-			if err != nil {
-				return 0, fmt.Errorf("bad link index %q: %v", parts[i], err)
-			}
-			if idx < 0 {
-				return 0, fmt.Errorf("link index %d must be >= 0 (omit for all links)", idx)
-			}
-			return idx, nil
-		}
+	err := eachItem(s, func(item, kind string, parts []string) error {
 		switch kind {
 		case "loss", "dup", "lat":
-			if len(parts) != 1 && len(parts) != 2 {
-				return nil, fmt.Errorf("bad spec %q (want %s:VALUE[:LINK])", item, kind)
-			}
-			v, err := num(0, kind+" value")
-			if err != nil {
-				return nil, err
-			}
-			if kind == "lat" && v < 0 {
-				return nil, fmt.Errorf("latency mean %g is negative", v)
-			}
-			if kind != "lat" && (v < 0 || v > 1) {
-				return nil, fmt.Errorf("%s probability %g outside [0, 1]", kind, v)
-			}
-			if len(parts) == 2 {
-				idx, err := linkIdx(1)
-				if err != nil {
-					return nil, err
-				}
-				p := patchFor(idx)
-				var field **float64
-				switch kind {
-				case "loss":
-					field = &p.loss
-				case "dup":
-					field = &p.dup
-				default:
-					field = &p.lat
-				}
-				if *field != nil {
-					return nil, fmt.Errorf("duplicate %s item for link %d", kind, idx)
-				}
-				vv := v
-				*field = &vv
-				break
-			}
-			if haveDefault[kind] {
-				return nil, fmt.Errorf("duplicate default %s item %q", kind, item)
-			}
-			haveDefault[kind] = true
-			switch kind {
-			case "loss":
-				cfg.Link.Loss = v
-			case "dup":
-				cfg.Link.Dup = v
-			default:
-				if v > 0 {
-					cfg.Link.Latency = dist.Exponential{MeanVal: v}
-				}
-			}
+			return links.parse(item, kind, parts)
 		case "crash":
 			if cfg.Dispatcher != nil && cfg.Dispatcher.Uptime != nil {
-				return nil, fmt.Errorf("duplicate crash item %q", item)
+				return fmt.Errorf("duplicate crash item %q", item)
 			}
 			if len(parts) != 2 {
-				return nil, fmt.Errorf("bad spec %q (want crash:MTBF:MTTR)", item)
+				return fmt.Errorf("bad spec %q (want crash:MTBF:MTTR)", item)
 			}
-			mtbf, err := num(0, "crash MTBF")
+			mtbf, err := ParseNum(parts[0], "crash MTBF", false)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			mttr, err := num(1, "crash MTTR")
+			mttr, err := ParseNum(parts[1], "crash MTTR", false)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if mtbf <= 0 || mttr <= 0 {
-				return nil, fmt.Errorf("crash MTBF %g and MTTR %g must be positive", mtbf, mttr)
+				return fmt.Errorf("crash MTBF %g and MTTR %g must be positive", mtbf, mttr)
 			}
 			// A down item earlier in the list may already have created the
 			// dispatcher; fill in the renewal process either way.
@@ -214,26 +120,26 @@ func ParseNetfaultSpec(s string) (*netfault.Config, error) {
 			cfg.Dispatcher.Downtime = dist.Exponential{MeanVal: mttr}
 		case "down":
 			if haveDown {
-				return nil, fmt.Errorf("duplicate down item %q", item)
+				return fmt.Errorf("duplicate down item %q", item)
 			}
 			haveDown = true
 			if len(parts) < 1 || len(parts) > 2 {
-				return nil, fmt.Errorf("bad spec %q (want down:drop, down:buffer[:CAP] or down:failover)", item)
+				return fmt.Errorf("bad spec %q (want down:drop, down:buffer[:CAP] or down:failover)", item)
 			}
 			pol, err := netfault.ParseDownPolicy(strings.TrimSpace(parts[0]))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cap := 0
 			if len(parts) == 2 {
 				if pol != netfault.DownBuffer {
-					return nil, fmt.Errorf("down policy %v takes no capacity (only buffer does)", pol)
+					return fmt.Errorf("down policy %v takes no capacity (only buffer does)", pol)
 				}
 				if cap, err = strconv.Atoi(strings.TrimSpace(parts[1])); err != nil {
-					return nil, fmt.Errorf("bad buffer capacity %q: %v", parts[1], err)
+					return fmt.Errorf("bad buffer capacity %q: %v", parts[1], err)
 				}
 				if cap < 1 {
-					return nil, fmt.Errorf("buffer capacity %d must be at least 1", cap)
+					return fmt.Errorf("buffer capacity %d must be at least 1", cap)
 				}
 			}
 			// The crash item may come later in the list; the placeholder
@@ -244,68 +150,25 @@ func ParseNetfaultSpec(s string) (*netfault.Config, error) {
 			cfg.Dispatcher.Down = pol
 			cfg.Dispatcher.BufferCap = cap
 		case "part":
-			if len(parts) != 2 && len(parts) != 3 {
-				return nil, fmt.Errorf("bad spec %q (want part:FROM:TO[:L1+L2+...])", item)
-			}
-			from, err := num(0, "partition start")
+			p, err := parsePartition(item, kind, parts)
 			if err != nil {
-				return nil, err
-			}
-			to, err := num(1, "partition end")
-			if err != nil {
-				return nil, err
-			}
-			p := netfault.Partition{From: from, To: to}
-			if len(parts) == 3 {
-				for _, tok := range strings.Split(parts[2], "+") {
-					tok = strings.TrimSpace(tok)
-					if tok == "" {
-						return nil, fmt.Errorf("bad spec %q: empty link in list", item)
-					}
-					idx, err := strconv.Atoi(tok)
-					if err != nil {
-						return nil, fmt.Errorf("bad partition link %q: %v", tok, err)
-					}
-					if idx < 0 {
-						return nil, fmt.Errorf("partition link %d must be >= 0", idx)
-					}
-					p.Links = append(p.Links, idx)
-				}
+				return err
 			}
 			cfg.Partitions = append(cfg.Partitions, p)
 		default:
-			return nil, fmt.Errorf("unknown netfault spec %q (want loss:P[:LINK], dup:P[:LINK], lat:MEAN[:LINK], crash:MTBF:MTTR, down:..., or part:FROM:TO[:L1+L2+...])", item)
+			return fmt.Errorf("unknown netfault spec %q (want loss:P[:LINK], dup:P[:LINK], lat:MEAN[:LINK], crash:MTBF:MTTR, down:..., or part:FROM:TO[:L1+L2+...])", item)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// A down item without a crash item configures a dispatcher that never
 	// crashes — reject it as almost certainly a mistake.
 	if cfg.Dispatcher != nil && cfg.Dispatcher.Uptime == nil {
 		return nil, fmt.Errorf("down item requires a crash:MTBF:MTTR item")
 	}
-	// Materialize the per-link patches over the default link model.
-	if len(patches) > 0 {
-		cfg.PerLink = make(map[int]netfault.Link, len(patches))
-		for idx, p := range patches {
-			l := cfg.Link
-			if p.lat != nil {
-				if *p.lat < 0 {
-					return nil, fmt.Errorf("link %d latency mean %g is negative", idx, *p.lat)
-				}
-				if *p.lat > 0 {
-					l.Latency = dist.Exponential{MeanVal: *p.lat}
-				} else {
-					l.Latency = nil
-				}
-			}
-			if p.loss != nil {
-				l.Loss = *p.loss
-			}
-			if p.dup != nil {
-				l.Dup = *p.dup
-			}
-			cfg.PerLink[idx] = l
-		}
-	}
+	cfg.Link, cfg.PerLink = links.links()
 	if !cfg.Enabled() {
 		return nil, nil
 	}
@@ -313,7 +176,9 @@ func ParseNetfaultSpec(s string) (*netfault.Config, error) {
 }
 
 // ParseAckSpec parses "TO[:BUDGET[:BASE:MAX[:JITTER]]]". Empty returns
-// hasSpec false (ack tracking disabled).
+// hasSpec false (ack tracking disabled). An explicit budget must be at
+// least 1 and an explicit backoff base and max positive: only omitted
+// fields take the netfault defaults.
 func ParseAckSpec(s string) (ack netfault.Ack, hasSpec bool, err error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -323,17 +188,7 @@ func ParseAckSpec(s string) (ack netfault.Ack, hasSpec bool, err error) {
 	if len(parts) != 1 && len(parts) != 2 && len(parts) != 4 && len(parts) != 5 {
 		return ack, false, fmt.Errorf("bad ack spec %q (want TO[:BUDGET[:BASE:MAX[:JITTER]]])", s)
 	}
-	num := func(i int, what string) (float64, error) {
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s %q: %v", what, parts[i], err)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("%s %v must be finite", what, v)
-		}
-		return v, nil
-	}
-	if ack.Timeout, err = num(0, "ack timeout"); err != nil {
+	if ack.Timeout, err = ParseNum(parts[0], "ack timeout", false); err != nil {
 		return ack, false, err
 	}
 	if !(ack.Timeout > 0) {
@@ -344,18 +199,21 @@ func ParseAckSpec(s string) (ack netfault.Ack, hasSpec bool, err error) {
 		if err != nil {
 			return ack, false, fmt.Errorf("bad resubmission budget %q: %v", parts[1], err)
 		}
+		if budget < 1 {
+			return ack, false, fmt.Errorf("resubmission budget %d must be at least 1", budget)
+		}
 		ack.Budget = budget
 	}
 	if len(parts) >= 4 {
-		if ack.BackoffBase, err = num(2, "backoff base"); err != nil {
+		if ack.BackoffBase, err = ParseNum(parts[2], "backoff base", true); err != nil {
 			return ack, false, err
 		}
-		if ack.BackoffMax, err = num(3, "backoff max"); err != nil {
+		if ack.BackoffMax, err = ParseNum(parts[3], "backoff max", true); err != nil {
 			return ack, false, err
 		}
 	}
 	if len(parts) == 5 {
-		if ack.Jitter, err = num(4, "backoff jitter"); err != nil {
+		if ack.Jitter, err = ParseNum(parts[4], "backoff jitter", false); err != nil {
 			return ack, false, err
 		}
 	}
@@ -385,16 +243,6 @@ func ParseDStateSpec(s string) (*DStateSpec, error) {
 	if rest != "" {
 		parts = strings.Split(rest, ":")
 	}
-	num := func(i int, what string) (float64, error) {
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s %q: %v", what, parts[i], err)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-			return 0, fmt.Errorf("%s %v must be positive and finite", what, v)
-		}
-		return v, nil
-	}
 	ds := &DStateSpec{}
 	var err error
 	switch kind {
@@ -408,11 +256,11 @@ func ParseDStateSpec(s string) (*DStateSpec, error) {
 			return nil, fmt.Errorf("bad dstate spec %q (want ckpt:DT[:CLIENTTO])", s)
 		}
 		ds.Recovery = netfault.RecoverCheckpoint
-		if ds.CheckpointDT, err = num(0, "checkpoint period"); err != nil {
+		if ds.CheckpointDT, err = ParseNum(parts[0], "checkpoint period", true); err != nil {
 			return nil, err
 		}
 		if len(parts) == 2 {
-			if ds.ClientTO, err = num(1, "client timeout"); err != nil {
+			if ds.ClientTO, err = ParseNum(parts[1], "client timeout", true); err != nil {
 				return nil, err
 			}
 		}
@@ -422,12 +270,12 @@ func ParseDStateSpec(s string) (*DStateSpec, error) {
 		}
 		ds.Recovery = netfault.RecoverCold
 		if len(parts) >= 1 {
-			if ds.RelearnT, err = num(0, "relearn window"); err != nil {
+			if ds.RelearnT, err = ParseNum(parts[0], "relearn window", true); err != nil {
 				return nil, err
 			}
 		}
 		if len(parts) == 2 {
-			if ds.ClientTO, err = num(1, "client timeout"); err != nil {
+			if ds.ClientTO, err = ParseNum(parts[1], "client timeout", true); err != nil {
 				return nil, err
 			}
 		}

@@ -117,7 +117,10 @@ func TestParseAckSpec(t *testing.T) {
 	if ack != want {
 		t.Errorf("ack = %+v, want %+v", ack, want)
 	}
-	for _, bad := range []string{"0", "-5", "x", "30:x", "30:4:5", "30:4:x:60", "30:4:5:60:x", "30:4:5:60:0.5:9"} {
+	// An explicit zero or negative budget, base or max is rejected, not
+	// replaced by the netfault defaults.
+	for _, bad := range []string{"0", "-5", "x", "30:x", "30:4:5", "30:4:x:60", "30:4:5:60:x", "30:4:5:60:0.5:9",
+		"30:0", "30:-1", "30:4:0:60", "30:4:-1:60", "30:4:5:0", "30:4:0:0", "30:4:nan:60"} {
 		if _, _, err := ParseAckSpec(bad); err == nil {
 			t.Errorf("ParseAckSpec(%q) accepted", bad)
 		}
@@ -180,6 +183,11 @@ func TestNetfaultParamsBuild(t *testing.T) {
 	if _, err := (NetfaultParams{Netfault: "loss:0.1"}).Build(4); err == nil ||
 		!strings.Contains(err.Error(), "-ackto") {
 		t.Errorf("lossy without ack = %v", err)
+	}
+	// An explicit zero budget is an error, not the default budget.
+	if _, err := (NetfaultParams{Netfault: "loss:0.1", AckTO: "30:0"}).Build(4); err == nil ||
+		!strings.Contains(err.Error(), "budget 0") {
+		t.Errorf("zero ack budget = %v", err)
 	}
 	// -dstate without a crash item has nothing to recover.
 	if _, err := (NetfaultParams{DState: "cold"}).Build(4); err == nil ||

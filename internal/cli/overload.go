@@ -152,16 +152,6 @@ func ParseDeadlineSpec(s string) (dist.Distribution, cluster.DeadlineAction, err
 		action = cluster.DeadlineMark
 		parts = parts[:len(parts)-1]
 	}
-	num := func(i int, what string) (float64, error) {
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s %q: %v", what, parts[i], err)
-		}
-		if !(v > 0) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("%s %v must be positive and finite", what, v)
-		}
-		return v, nil
-	}
 	if len(parts) == 0 {
 		return nil, 0, fmt.Errorf("bad deadline spec %q (want exp:MEAN, const:V or uni:LO:HI, optional :kill|:mark)", s)
 	}
@@ -170,7 +160,7 @@ func ParseDeadlineSpec(s string) (dist.Distribution, cluster.DeadlineAction, err
 		if len(parts) != 2 {
 			return nil, 0, fmt.Errorf("bad deadline spec %q (want exp:MEAN)", s)
 		}
-		mean, err := num(1, "deadline mean")
+		mean, err := ParseNum(parts[1], "deadline mean", true)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -179,7 +169,7 @@ func ParseDeadlineSpec(s string) (dist.Distribution, cluster.DeadlineAction, err
 		if len(parts) != 2 {
 			return nil, 0, fmt.Errorf("bad deadline spec %q (want const:V)", s)
 		}
-		v, err := num(1, "deadline")
+		v, err := ParseNum(parts[1], "deadline", true)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -188,11 +178,11 @@ func ParseDeadlineSpec(s string) (dist.Distribution, cluster.DeadlineAction, err
 		if len(parts) != 3 {
 			return nil, 0, fmt.Errorf("bad deadline spec %q (want uni:LO:HI)", s)
 		}
-		lo, err := num(1, "deadline lower bound")
+		lo, err := ParseNum(parts[1], "deadline lower bound", true)
 		if err != nil {
 			return nil, 0, err
 		}
-		hi, err := num(2, "deadline upper bound")
+		hi, err := ParseNum(parts[2], "deadline upper bound", true)
 		if err != nil {
 			return nil, 0, err
 		}

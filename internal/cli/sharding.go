@@ -115,8 +115,12 @@ const MaxScaledComputers = 1 << 20
 // ScaleSpeeds tiles the speed vector cyclically out to n computers, the
 // standard construction for scaling the paper's small heterogeneous
 // configurations into the hundreds/thousands while preserving the speed
-// mix. n <= len(speeds) (or n <= 0) returns the input unchanged.
+// mix. n = 0 or n <= len(speeds) returns the input unchanged; a
+// negative n is an error.
 func ScaleSpeeds(speeds []float64, n int) ([]float64, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("-scale %d: must be >= 0 (0 = use -speeds as given)", n)
+	}
 	if n > MaxScaledComputers {
 		return nil, fmt.Errorf("-scale %d: at most %d computers", n, MaxScaledComputers)
 	}

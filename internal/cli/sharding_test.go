@@ -78,7 +78,7 @@ func TestScaleSpeeds(t *testing.T) {
 		}
 	}
 	// n at or below the input length, or zero, is a no-op.
-	for _, n := range []int{0, -1, 2, 3} {
+	for _, n := range []int{0, 2, 3} {
 		same, err := ScaleSpeeds(base, n)
 		if err != nil || len(same) != len(base) {
 			t.Errorf("ScaleSpeeds(3 speeds, %d) = %d speeds, %v; want unchanged", n, len(same), err)
@@ -86,6 +86,9 @@ func TestScaleSpeeds(t *testing.T) {
 	}
 	if _, err := ScaleSpeeds(base, MaxScaledComputers+1); err == nil {
 		t.Error("ScaleSpeeds beyond the cap accepted")
+	}
+	if _, err := ScaleSpeeds(base, -1); err == nil {
+		t.Error("ScaleSpeeds with a negative count accepted")
 	}
 }
 

@@ -114,16 +114,18 @@ func ExtChaos(o Options) (*ChaosResult, error) {
 		Speeds:   []float64{1, 1, 2, 10},
 		Rho:      0.7,
 		Duration: dur,
-		MTBF:     dur / 5,
-		MTTR:     dur / 60,
-		Fate:     "requeue",
-		Retries:  3,
-		Timeout:  300,
-		Retry:    2,
-		Breaker:  "5:400",
-		Drift:    fmt.Sprintf("lcycle:%g:0.25", dur/3),
-		Netfault: "loss:0.05,dup:0.02,lat:5",
-		AckTO:    "60:4",
+		LayerFlags: cli.LayerFlags{
+			MTBF:     dur / 5,
+			MTTR:     dur / 60,
+			Fate:     "requeue",
+			Retries:  3,
+			Timeout:  300,
+			Retry:    2,
+			Breaker:  "5:400",
+			Drift:    fmt.Sprintf("lcycle:%g:0.25", dur/3),
+			Netfault: "loss:0.05,dup:0.02,lat:5",
+			AckTO:    "60:4",
+		},
 	}
 	res.FixedLayer = "faults+overload+drift+netfault"
 	for _, pol := range ChaosPolicies {
