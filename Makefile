@@ -9,7 +9,7 @@ BENCH_BASELINE ?= BENCH_2026-08-06.json
 # hardware differs from the baseline machine; locally 10% is realistic.
 BENCH_THRESHOLD ?= 0.10
 
-.PHONY: all build test check race stress vet fmt clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke sweep-smoke perf-smoke chaos-smoke benchcheck bench-baseline loc
+.PHONY: all build test check race stress vet fmt clean probe-smoke trace-smoke netfault-smoke shard-smoke ctrl-smoke sweep-smoke perf-smoke chaos-smoke benchcheck bench-baseline loc allocs
 
 all: build
 
@@ -30,6 +30,13 @@ vet:
 # a failure prints the shuffle seed for replay (-shuffle=SEED).
 check: vet build
 	$(GO) test -race -short -shuffle=on ./...
+
+# allocs runs only the exact allocation gates: the engine and arena
+# zero-allocation tests, probe.Emit, and cluster.Run's per-job floor
+# with every layer on. CI runs it as its own step so an allocation
+# regression fails on its own line.
+allocs:
+	$(GO) test -count=1 -run 'ZeroAlloc|AllocFloor' ./internal/...
 
 # race runs the whole suite under the race detector with -short (stress
 # tests at reduced iteration counts). The adaptive re-planning loop,

@@ -79,10 +79,18 @@ func validate(speeds []float64, rho float64) error {
 		return fmt.Errorf("%w: utilization %v, must be in [0,1)", ErrBadInput, rho)
 	}
 	if rho >= 1 {
-		return fmt.Errorf("%w: rho = %v", ErrInfeasible, rho)
+		return saturated(rho)
 	}
 	return nil
 }
+
+// saturated is validate's ErrInfeasible for a utilization ρ ≥ 1. It
+// formats only when printed: a degraded re-plan (sched.ReallocResolve)
+// meets it on every saturated up-set change and discards it.
+type saturated float64
+
+func (e saturated) Error() string { return fmt.Sprintf("%v: rho = %v", ErrInfeasible, float64(e)) }
+func (e saturated) Unwrap() error { return ErrInfeasible }
 
 // Equal allocates an identical share to every computer regardless of
 // speed. At high utilization it may saturate slow computers, in which case

@@ -346,6 +346,8 @@ type Policy interface {
 // detection lag — with the availability mask current at detection time;
 // policies typically stop dispatching to down computers and may
 // recompute their allocation over the survivors (sched.ReallocResolve).
+// The run reuses the mask's backing array for the next call: a policy
+// copies what it keeps.
 type FaultAware interface {
 	UpSetChanged(up []bool)
 }

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"heterosched/internal/netfault"
 	"heterosched/internal/probe"
@@ -183,10 +183,12 @@ type netfaultRun struct {
 	lastCkptT float64
 	downStart float64
 
-	outstanding   map[int64]*nfEntry
+	outstanding   map[int64]nfEntry
+	ids           []int64     // restart's scratch: the outstanding IDs, sorted
 	pendingRetry  []nfPending // ack timers that expired while down
 	pendingResend []nfPending // backoff resends that fired while down
 	pendingRescue []nfPending // client rescues that fired while down
+	ackTimer      jobTimer    // arms each tracked dispatch's ack timeout
 	buffer        []*sim.Job
 	failCount     []int64
 
@@ -205,8 +207,9 @@ func newNetfaultRun(r *run, cfg *netfault.Config, root *rng.Stream) *netfaultRun
 		cut:         make([]int, n),
 		inFlight:    make([]int, n),
 		online:      true,
-		outstanding: map[int64]*nfEntry{},
+		outstanding: map[int64]nfEntry{},
 	}
+	nf.ackTimer = jobTimer{arena: r.arena, expire: nf.ackTimeout}
 	if rp, ok := r.policy.(Replannable); ok {
 		nf.replan = rp
 	}
@@ -324,8 +327,9 @@ func (nf *netfaultRun) send(target int, j *sim.Job, tracked bool) {
 			if nf.pb != nil {
 				nf.pb.SetLinkInFlight(now, target, nf.inFlight[target])
 			}
-			tgt := target
-			nf.en.ScheduleAfter(delay, func() { nf.deliverCopy(tgt, ref, epoch, true) })
+			m := nf.later(landCopy)
+			m.target, m.ref, m.epoch = target, ref, epoch
+			nf.en.ScheduleAfter(delay, m.fire)
 		} else {
 			nf.deliverCopy(target, ref, epoch, false)
 		}
@@ -334,6 +338,9 @@ func (nf *netfaultRun) send(target int, j *sim.Job, tracked bool) {
 		nf.scheduleRescue(j)
 	}
 }
+
+// landCopy delivers a transit copy at the end of its link latency.
+func landCopy(r *run, m *delayed) { r.nf.deliverCopy(m.target, m.ref, m.epoch, true) }
 
 // deliverCopy lands one transit copy at computer target: the first copy
 // accepted wins, every later one is deduplicated against the idempotency
@@ -396,11 +403,16 @@ func (nf *netfaultRun) sendAck(target int, id int64, epoch int) {
 		return
 	}
 	if delay := link.SampleLatency(nf.linkStreams[target]); delay > 0 {
-		nf.en.ScheduleAfter(delay, func() { nf.onAck(id, epoch) })
+		m := nf.later(landAck)
+		m.id, m.epoch = id, epoch
+		nf.en.ScheduleAfter(delay, m.fire)
 	} else {
 		nf.onAck(id, epoch)
 	}
 }
+
+// landAck receives an ack at the end of its link latency.
+func landAck(r *run, m *delayed) { r.nf.onAck(m.id, m.epoch) }
 
 // onAck resolves an outstanding dispatch. A crashed dispatcher misses
 // the ack; the restart recovery decides the entry's fate instead. An
@@ -435,20 +447,8 @@ func (nf *netfaultRun) track(j *sim.Job, now float64) {
 	if j.AckEvent.Active() {
 		j.AckEvent.Cancel()
 	}
-	e, ok := nf.outstanding[j.ID]
-	if !ok {
-		e = &nfEntry{}
-		nf.outstanding[j.ID] = e
-	}
-	e.ref = nf.arena.Ref(j)
-	e.sentAt = now
-	e.epoch = j.NetEpoch
-	ref := e.ref
-	j.AckEvent = nf.en.ScheduleAfter(nf.cfg.Ack.Timeout, func() {
-		if jj, ok := ref.Load(); ok {
-			nf.ackTimeout(jj)
-		}
-	})
+	nf.outstanding[j.ID] = nfEntry{ref: nf.arena.Ref(j), sentAt: now, epoch: j.NetEpoch}
+	j.AckEvent = nf.en.ScheduleAfter(nf.cfg.Ack.Timeout, nf.ackTimer.arm(j))
 }
 
 // ackTimeout fires when a tracked dispatch was not acked in time.
@@ -501,23 +501,28 @@ func (nf *netfaultRun) resubmit(j *sim.Job, cause string) {
 	// The dispatcher believes the job never reached (or left) its
 	// computer: release the policy's load accounting before re-selecting.
 	nf.departed(j)
-	ref := nf.arena.Ref(j)
-	epoch := j.NetEpoch
-	nf.en.ScheduleAfter(d, func() {
-		jj, ok := ref.Load()
-		if !ok || jj.Finalized || jj.Killed || jj.NetEpoch != epoch {
-			// Epoch moved: the job was reclaimed from its server while
-			// this backoff was pending — the overload/fault machinery
-			// owns its re-dispatch now, a second loop would double it.
-			return
-		}
-		if !nf.online {
-			_, tracked := nf.outstanding[jj.ID]
-			nf.pendingResend = append(nf.pendingResend, nfPending{ref: ref, id: jj.ID, epoch: epoch, tracked: tracked})
-			return
-		}
-		nf.dispatch(jj, false)
-	})
+	m := nf.later(resendAfterBackoff)
+	m.ref, m.epoch = nf.arena.Ref(j), j.NetEpoch
+	nf.en.ScheduleAfter(d, m.fire)
+}
+
+// resendAfterBackoff retransmits a resubmitted job once its backoff
+// ends, or parks the retransmit while the dispatcher is down.
+func resendAfterBackoff(r *run, m *delayed) {
+	nf := r.nf
+	j, ok := m.ref.Load()
+	if !ok || j.Finalized || j.Killed || j.NetEpoch != m.epoch {
+		// Epoch moved: the job was reclaimed from its server while this
+		// backoff was pending — the overload/fault machinery owns its
+		// re-dispatch now, a second loop would double it.
+		return
+	}
+	if !nf.online {
+		_, tracked := nf.outstanding[j.ID]
+		nf.pendingResend = append(nf.pendingResend, nfPending{ref: m.ref, id: j.ID, epoch: m.epoch, tracked: tracked})
+		return
+	}
+	nf.dispatch(j, false)
 }
 
 // backoff returns resubmission k's delay min(base·2^(k−1), max) with
@@ -537,7 +542,7 @@ func (nf *netfaultRun) backoff(j *sim.Job) float64 {
 }
 
 // forget drops an outstanding entry and disarms its ack timer.
-func (nf *netfaultRun) forget(id int64, e *nfEntry) {
+func (nf *netfaultRun) forget(id int64, e nfEntry) {
 	delete(nf.outstanding, id)
 	if j, ok := e.ref.Load(); ok && j.AckEvent.Active() {
 		j.AckEvent.Cancel()
@@ -558,22 +563,28 @@ func (nf *netfaultRun) scheduleRescue(j *sim.Job) {
 	if now := nf.en.Now(); t < now {
 		t = now
 	}
-	ref := nf.arena.Ref(j)
-	epoch := j.NetEpoch
-	nf.en.Schedule(t, func() {
-		jj, ok := ref.Load()
-		if !ok || jj.Finalized || jj.Killed || jj.NetAccepted || jj.NetEpoch != epoch {
-			return
-		}
-		if !nf.online {
-			// The client keeps retrying regardless of dispatcher state;
-			// its retransmit lands once the dispatcher is back.
-			nf.pendingRescue = append(nf.pendingRescue, nfPending{ref: ref, id: jj.ID, epoch: epoch})
-			return
-		}
-		nf.stats.ClientRescues++
-		nf.resubmit(jj, "client")
-	})
+	m := nf.later(rescueByClient)
+	m.ref, m.epoch = nf.arena.Ref(j), j.NetEpoch
+	nf.en.Schedule(t, m.fire)
+}
+
+// rescueByClient is the client timeout of scheduleRescue: it retransmits
+// a job no computer has accepted, or parks the retransmit while the
+// dispatcher is down.
+func rescueByClient(r *run, m *delayed) {
+	nf := r.nf
+	j, ok := m.ref.Load()
+	if !ok || j.Finalized || j.Killed || j.NetAccepted || j.NetEpoch != m.epoch {
+		return
+	}
+	if !nf.online {
+		// The client keeps retrying regardless of dispatcher state; its
+		// retransmit lands once the dispatcher is back.
+		nf.pendingRescue = append(nf.pendingRescue, nfPending{ref: m.ref, id: j.ID, epoch: m.epoch})
+		return
+	}
+	nf.stats.ClientRescues++
+	nf.resubmit(j, "client")
 }
 
 // jobDone clears the job's netfault state at its terminal event so the
@@ -684,11 +695,12 @@ func (nf *netfaultRun) restart() {
 
 	// Resolve the outstanding table in sorted ID order: rescues schedule
 	// events, and map iteration order must not reach the event queue.
-	ids := make([]int64, 0, len(nf.outstanding))
+	ids := nf.ids[:0]
 	for id := range nf.outstanding {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
+	nf.ids = ids
 	for _, id := range ids {
 		e := nf.outstanding[id]
 		jj, ok := e.ref.Load()

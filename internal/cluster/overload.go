@@ -300,6 +300,11 @@ type overloadRun struct {
 	removers []sim.Removable
 	tb       *dispatch.TokenBucket
 	brk      []*dispatch.Breaker
+	// halfOpen[i] is computer i's cooldown expiry, bound once.
+	halfOpen []func()
+	// deadlineTimer and timeoutTimer arm the per-job deadline kill and
+	// dispatch timeout.
+	deadlineTimer, timeoutTimer jobTimer
 	// deadlines is the named random substream for deadline draws; derived
 	// only when a deadline distribution is configured, so runs without
 	// deadlines consume no extra randomness.
@@ -315,6 +320,8 @@ func newOverloadRun(r *run, cfg *OverloadConfig, root *rng.Stream) (*overloadRun
 		// fastest computer) to the timeout/deadline horizon.
 		timeHist: stats.NewLogHistogram(1e-3, 1e7, 400),
 	}
+	ov.deadlineTimer = jobTimer{arena: r.arena, expire: ov.deadlineExpire}
+	ov.timeoutTimer = jobTimer{arena: r.arena, expire: ov.timeout}
 	if cfg.Admission == TokenBucketAdmission {
 		tb, err := dispatch.NewTokenBucket(cfg.TokenRate, cfg.TokenBurst)
 		if err != nil {
@@ -324,8 +331,13 @@ func newOverloadRun(r *run, cfg *OverloadConfig, root *rng.Stream) (*overloadRun
 	}
 	if cfg.Breaker != nil {
 		ov.brk = make([]*dispatch.Breaker, r.n)
+		ov.halfOpen = make([]func(), r.n)
 		for i := range ov.brk {
 			ov.brk[i] = dispatch.NewBreaker(*cfg.Breaker)
+			ov.halfOpen[i] = func() {
+				ov.brk[i].ToHalfOpen()
+				ov.noteBreaker(i)
+			}
 		}
 	}
 	if cfg.Deadline != nil {
@@ -349,7 +361,6 @@ func (ov *overloadRun) admitJob(j *sim.Job) bool {
 		}
 		j.Deadline = j.Arrival + rel
 		if ov.cfg.DeadlineAction == DeadlineKill {
-			ref := ov.arena.Ref(j)
 			// Jobs flushed from a crashed dispatcher's buffer are admitted
 			// after their arrival; a deadline that lapsed while buffered
 			// fires immediately rather than scheduling into the past.
@@ -357,11 +368,7 @@ func (ov *overloadRun) admitJob(j *sim.Job) bool {
 			if now := ov.en.Now(); t < now {
 				t = now
 			}
-			j.DeadlineEvent = ov.en.Schedule(t, func() {
-				if jj, ok := ref.Load(); ok {
-					ov.deadlineExpire(jj)
-				}
-			})
+			j.DeadlineEvent = ov.en.Schedule(t, ov.deadlineTimer.arm(j))
 		}
 	}
 	return true
@@ -420,12 +427,7 @@ func (ov *overloadRun) gate(j *sim.Job, target int) bool {
 			// nothing can cancel later.
 			j.TimeoutEvent.Cancel()
 		}
-		ref := ov.arena.Ref(j)
-		j.TimeoutEvent = ov.en.ScheduleAfter(ov.cfg.Timeout, func() {
-			if jj, ok := ref.Load(); ok {
-				ov.timeout(jj)
-			}
-		})
+		j.TimeoutEvent = ov.en.ScheduleAfter(ov.cfg.Timeout, ov.timeoutTimer.arm(j))
 	}
 	return true
 }
@@ -480,12 +482,9 @@ func (ov *overloadRun) retryOrDrop(j *sim.Job) {
 		if ov.pb != nil {
 			ov.pb.Emit(probe.Event{T: ov.en.Now(), Kind: probe.EvRetry, Job: j.ID, Target: j.Target, Cause: "backoff", Attempt: j.Attempts, Value: d})
 		}
-		ref := ov.arena.Ref(j)
-		ov.en.ScheduleAfter(d, func() {
-			if jj, ok := ref.Load(); ok {
-				ov.dispatch(jj, false)
-			}
-		})
+		m := ov.later(retryAfterBackoff)
+		m.ref = ov.arena.Ref(j)
+		ov.en.ScheduleAfter(d, m.fire)
 		return
 	}
 	if j.NetAccepted {
@@ -499,6 +498,13 @@ func (ov *overloadRun) retryOrDrop(j *sim.Job) {
 	ov.finalize(j, OutcomeDroppedRetryBudget)
 	ov.drop(j)
 	ov.releaseJob(j)
+}
+
+// retryAfterBackoff re-dispatches a job once its retry backoff ends.
+func retryAfterBackoff(r *run, m *delayed) {
+	if j, ok := m.ref.Load(); ok {
+		r.dispatch(j, false)
+	}
 }
 
 // backoffDelay returns attempt j.Attempts' backoff with deterministic
@@ -672,10 +678,7 @@ func (ov *overloadRun) noteFailure(i int) {
 
 // scheduleHalfOpen arms computer i's cooldown timer.
 func (ov *overloadRun) scheduleHalfOpen(i int) {
-	ov.en.ScheduleAfter(ov.cfg.Breaker.Cooldown, func() {
-		ov.brk[i].ToHalfOpen()
-		ov.noteBreaker(i)
-	})
+	ov.en.ScheduleAfter(ov.cfg.Breaker.Cooldown, ov.halfOpen[i])
 }
 
 // probeSucceeded closes computer i's breaker and unmasks it.

@@ -72,6 +72,11 @@ type run struct {
 	ratioHist                                      *stats.Histogram
 	counts, outcomes, samples                      []int64
 	observed, generated, inSystem                  int64
+
+	// laterFree recycles the run's deferred job actions (see delayed).
+	laterFree []*delayed
+	// upBuf backs the up-set notifyUpSet hands the policy.
+	upBuf []bool
 }
 
 // Run executes one simulation run of cfg under the given policy.
@@ -627,16 +632,20 @@ func (r *run) send(target int, j *sim.Job) {
 			// The job is held across simulated time, where a deadline or
 			// timeout can reach a terminal outcome first and recycle it:
 			// a dead handle drops the delivery.
-			ref := r.arena.Ref(j)
-			r.en.ScheduleAfter(d, func() {
-				if jj, ok := ref.Load(); ok && !jj.Finalized {
-					r.transmit(target, jj)
-				}
-			})
+			m := r.later(endHold)
+			m.ref, m.target = r.arena.Ref(j), target
+			r.en.ScheduleAfter(d, m.fire)
 			return
 		}
 	}
 	r.transmit(target, j)
+}
+
+// endHold transmits a job at the end of its decision-cost hold.
+func endHold(r *run, m *delayed) {
+	if j, ok := m.ref.Load(); ok && !j.Finalized {
+		r.transmit(m.target, j)
+	}
 }
 
 // transmit puts a job on computer target's link.
@@ -759,6 +768,76 @@ func (r *run) finalize(j *sim.Job, o Outcome) {
 	}
 }
 
+// delayed is one deferred action on a job: a netfault transit copy, ack,
+// backoff resend or client rescue, an overload retry backoff, or a
+// decision-cost hold. None is ever cancelled, so each fires exactly once:
+// it runs act and returns to the run's free list. fire is bound once,
+// when the action is first built, so a steady-state deferral allocates
+// nothing (the free-list pattern of ctrlplane's msg).
+type delayed struct {
+	// act is a package-level function, so setting it allocates nothing;
+	// it reads the fields its scheduler filled in.
+	act           func(*run, *delayed)
+	ref           sim.JobRef
+	id            int64
+	target, epoch int
+	fire          func()
+}
+
+// later returns a recycled deferred action that runs act when its fire
+// callback, scheduled by the caller, fires.
+func (r *run) later(act func(*run, *delayed)) *delayed {
+	var m *delayed
+	if n := len(r.laterFree); n > 0 {
+		m = r.laterFree[n-1]
+		r.laterFree = r.laterFree[:n-1]
+	} else {
+		m = &delayed{}
+		m.fire = func() {
+			m.act(r, m)
+			m.act, m.ref = nil, sim.JobRef{}
+			r.laterFree = append(r.laterFree, m)
+		}
+	}
+	m.act = act
+	return m
+}
+
+// jobTimer is one kind of cancellable timer a job owns: the overload
+// layer's deadline kill or dispatch timeout, or the netfault layer's ack
+// timeout. Its callback is bound once per arena job object and reused by
+// every job the object carries, so arming one allocates nothing. The
+// timer's handle lives in its job (DeadlineEvent, TimeoutEvent,
+// AckEvent), every re-arm cancels the previous timer first, and
+// releaseJob never recycles a job with an armed timer: an object has at
+// most one pending timer of each kind, and the ref stored when it was
+// armed is that timer's own.
+type jobTimer struct {
+	arena  *sim.JobArena
+	expire func(*sim.Job)
+	// fire and refs are indexed by JobArena.Slot.
+	fire []func()
+	refs []sim.JobRef
+}
+
+// arm returns the callback to schedule for j's timer of this kind.
+func (t *jobTimer) arm(j *sim.Job) func() {
+	s := t.arena.Slot(j)
+	for len(t.fire) <= s {
+		t.fire = append(t.fire, nil)
+		t.refs = append(t.refs, sim.JobRef{})
+	}
+	if t.fire[s] == nil {
+		t.fire[s] = func() {
+			if j, ok := t.refs[s].Load(); ok {
+				t.expire(j)
+			}
+		}
+	}
+	t.refs[s] = t.arena.Ref(j)
+	return t.fire[s]
+}
+
 // releaseJob recycles a terminally disposed job into the arena; it is the
 // single recycling gate. Every terminal path cancels the job's timers
 // first, and a job with a live timer must not be recycled.
@@ -810,7 +889,10 @@ func (r *run) notifyUpSet() {
 	if !ok {
 		return
 	}
-	up := make([]bool, r.n)
+	if r.upBuf == nil {
+		r.upBuf = make([]bool, r.n)
+	}
+	up := r.upBuf
 	for i := range up {
 		up[i] = (r.faultsUp == nil || r.faultsUp[i]) && (r.nf == nil || r.nf.linkUp(i)) && r.ov.breakerClosed(i)
 	}

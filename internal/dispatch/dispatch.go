@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"heterosched/internal/rng"
 )
@@ -45,8 +46,9 @@ type Dispatcher interface {
 	Name() string
 }
 
-// checkFractions validates α and returns a defensive copy.
-func checkFractions(fractions []float64) ([]float64, error) {
+// checkFractions validates α and returns a defensive copy, appended to
+// dst[:0]; dst is left unchanged when α is invalid.
+func checkFractions(dst, fractions []float64) ([]float64, error) {
 	if len(fractions) == 0 {
 		return nil, fmt.Errorf("%w: empty vector", ErrBadFractions)
 	}
@@ -60,9 +62,7 @@ func checkFractions(fractions []float64) ([]float64, error) {
 	if math.Abs(sum-1) > 1e-9 {
 		return nil, fmt.Errorf("%w: sum = %v", ErrBadFractions, sum)
 	}
-	cp := make([]float64, len(fractions))
-	copy(cp, fractions)
-	return cp, nil
+	return append(dst[:0], fractions...), nil
 }
 
 // Random dispatches each job independently at random with probabilities α
@@ -83,7 +83,7 @@ type Random struct {
 // NewRandom returns a random dispatcher over the given fractions using the
 // supplied stream.
 func NewRandom(fractions []float64, st *rng.Stream) (*Random, error) {
-	fr, err := checkFractions(fractions)
+	fr, err := checkFractions(nil, fractions)
 	if err != nil {
 		return nil, err
 	}
@@ -144,25 +144,40 @@ type RoundRobin struct {
 	// computer rejoins the rotation without a burst.
 	up  []bool
 	eff []float64
+	// upBuf and effBuf back up and eff while a mask is active, so
+	// re-masking allocates nothing.
+	upBuf  []bool
+	effBuf []float64
 }
 
 // NewRoundRobin returns a smoothed round-robin dispatcher over the given
 // fractions (Algorithm 2 step 1 initialization).
 func NewRoundRobin(fractions []float64) (*RoundRobin, error) {
-	fr, err := checkFractions(fractions)
-	if err != nil {
+	rr := &RoundRobin{}
+	if err := rr.Reset(fractions); err != nil {
 		return nil, err
 	}
-	rr := &RoundRobin{
-		fractions: fr,
-		assign:    make([]int64, len(fr)),
-		next:      make([]float64, len(fr)),
+	return rr, nil
+}
+
+// Reset re-initializes the dispatcher over new fractions, exactly as
+// NewRoundRobin would, reusing its arrays: the counters restart and the
+// mask is cleared. Invalid fractions leave the dispatcher unchanged.
+func (rr *RoundRobin) Reset(fractions []float64) error {
+	fr, err := checkFractions(rr.fractions, fractions)
+	if err != nil {
+		return err
 	}
-	rr.eff = rr.fractions
+	n := len(fr)
+	rr.fractions = fr
+	rr.assign = slices.Grow(rr.assign[:0], n)[:n]
+	rr.next = slices.Grow(rr.next[:0], n)[:n]
+	clear(rr.assign)
 	for i := range rr.next {
 		rr.next[i] = 1 // guard value (step 1.b)
 	}
-	return rr, nil
+	rr.up, rr.eff = nil, rr.fractions
+	return nil
 }
 
 // isUp reports whether computer i is selectable (no mask means all up).
@@ -232,7 +247,7 @@ type CyclicWRR struct {
 // NewCyclicWRR builds a cyclic WRR dispatcher whose integer quotas
 // approximate fractions over a cycle of the given length (e.g. 100).
 func NewCyclicWRR(fractions []float64, cycle int) (*CyclicWRR, error) {
-	fr, err := checkFractions(fractions)
+	fr, err := checkFractions(nil, fractions)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +356,7 @@ type IntervalDeviation struct {
 // NewIntervalDeviation creates a tracker with the given expected fractions
 // and interval length (seconds).
 func NewIntervalDeviation(expected []float64, length float64) (*IntervalDeviation, error) {
-	fr, err := checkFractions(expected)
+	fr, err := checkFractions(nil, expected)
 	if err != nil {
 		return nil, err
 	}

@@ -168,6 +168,50 @@ func TestRoundRobinAssignedCounter(t *testing.T) {
 	}
 }
 
+// TestRoundRobinResetMatchesNew: a used, masked dispatcher reset in
+// place selects exactly what a fresh one does, re-masking after a reset
+// allocates nothing, and invalid fractions leave it untouched.
+func TestRoundRobinResetMatchesNew(t *testing.T) {
+	first := []float64{0.1, 0.2, 0.3, 0.4}
+	second := []float64{0.5, 0, 0.25, 0.25}
+	up := []bool{true, false, true, true}
+	rr, err := NewRoundRobin(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 37; k++ {
+		rr.Next()
+	}
+	if err := rr.SetUp(up); err != nil {
+		t.Fatal(err)
+	}
+	rr.Next()
+	if err := rr.Reset([]float64{0.5, 0.6}); err == nil {
+		t.Fatal("Reset accepted fractions that do not sum to 1")
+	}
+	if got := rr.Next(); got == 1 {
+		t.Fatal("a rejected Reset cleared the mask")
+	}
+	if err := rr.Reset(second); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewRoundRobin(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 200; k++ {
+		if a, b := rr.Next(), fresh.Next(); a != b {
+			t.Fatalf("selection %d: reset dispatcher chose %d, fresh one %d", k, a, b)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = rr.Reset(first)
+		_ = rr.SetUp(up)
+	}); allocs != 0 {
+		t.Errorf("Reset+SetUp allocates %v/op, want 0", allocs)
+	}
+}
+
 func TestRandomProportions(t *testing.T) {
 	fr := []float64{0.1, 0.2, 0.3, 0.4}
 	r, err := NewRandom(fr, rng.New(42))

@@ -24,7 +24,7 @@ const invPhi = 0.6180339887498949
 
 // NewGoldenRatio returns a golden-ratio dispatcher over the fractions.
 func NewGoldenRatio(fractions []float64) (*GoldenRatio, error) {
-	fr, err := checkFractions(fractions)
+	fr, err := checkFractions(nil, fractions)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // This file adds failure masking to the three dispatchers: when computers
@@ -37,10 +38,11 @@ var (
 	_ Masked = (*CyclicWRR)(nil)
 )
 
-// maskWeights renormalizes fr over the up computers. When every surviving
-// fraction is zero (e.g. a stale optimized allocation whose only loaded
-// computers all failed), it falls back to an equal split over the up-set.
-func maskWeights(fr []float64, up []bool) []float64 {
+// maskWeights renormalizes fr over the up computers into dst[:0]'s
+// backing array. When every surviving fraction is zero (e.g. a stale
+// optimized allocation whose only loaded computers all failed), it falls
+// back to an equal split over the up-set.
+func maskWeights(dst, fr []float64, up []bool) []float64 {
 	sum := 0.0
 	nUp := 0
 	for i, u := range up {
@@ -49,10 +51,11 @@ func maskWeights(fr []float64, up []bool) []float64 {
 			nUp++
 		}
 	}
-	w := make([]float64, len(fr))
+	w := slices.Grow(dst[:0], len(fr))[:len(fr)]
 	for i, u := range up {
 		switch {
 		case !u:
+			w[i] = 0
 		case sum > 0:
 			w[i] = fr[i] / sum
 		default:
@@ -85,7 +88,7 @@ func (r *Random) SetUp(up []bool) error {
 	if err := checkMask(up, len(r.fr)); err != nil {
 		return err
 	}
-	w := maskWeights(r.fr, up)
+	w := maskWeights(nil, r.fr, up)
 	cum := make([]float64, len(w))
 	run := 0.0
 	last := 0
@@ -120,8 +123,9 @@ func (rr *RoundRobin) SetUp(up []bool) error {
 	if err := checkMask(up, len(rr.fractions)); err != nil {
 		return err
 	}
-	rr.up = append([]bool(nil), up...)
-	rr.eff = maskWeights(rr.fractions, up)
+	rr.upBuf = append(rr.upBuf[:0], up...)
+	rr.effBuf = maskWeights(rr.effBuf, rr.fractions, up)
+	rr.up, rr.eff = rr.upBuf, rr.effBuf
 	return nil
 }
 

@@ -70,7 +70,7 @@ func TestMaskedDispatchersNeverSelectDown(t *testing.T) {
 			t.Fatalf("trial %d: NewCyclicWRR: %v", trial, err)
 		}
 
-		expected := maskWeights(fr, up)
+		expected := maskWeights(nil, fr, up)
 		for _, d := range dispatchers {
 			if err := d.SetUp(up); err != nil {
 				t.Fatalf("trial %d: %s SetUp: %v", trial, d.Name(), err)

@@ -237,7 +237,7 @@ func (b *BiasedPowerOfD) SampleCounts() []int64 { return append([]int64(nil), b.
 func (b *BiasedPowerOfD) rebuildCum() {
 	w := b.weights
 	if b.up != nil {
-		w = maskWeights(b.weights, b.up)
+		w = maskWeights(nil, b.weights, b.up)
 	}
 	if b.cum == nil {
 		b.cum = make([]float64, b.n)

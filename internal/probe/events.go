@@ -154,7 +154,9 @@ type Event struct {
 }
 
 // EventWriter receives the event stream. Writers are invoked from the
-// simulation goroutine in event order; they must not retain the event.
+// simulation goroutine in event order. The *Event is owned by the probe
+// and overwritten by the next Emit: a writer must not retain it (copy
+// the value to keep it).
 type EventWriter interface {
 	Write(e *Event) error
 	// Flush drains any buffering to the underlying sink.

@@ -109,6 +109,10 @@ type Probe struct {
 	lastFinalID    int64
 	lastFinalComps SpanComponents
 
+	// ev is the event handed to the writer: Emit copies into it so that
+	// passing a pointer through the EventWriter interface does not move
+	// each emitted event to the heap.
+	ev  Event
 	err error
 }
 
@@ -302,14 +306,16 @@ func (p *Probe) NoteCtrlStaleness(t, age float64) {
 }
 
 // Emit records one lifecycle event: the per-kind counter always, the
-// stream when a writer is attached. The first writer error is latched and
-// stops further writes.
+// stream when a writer is attached. The writer sees a probe-owned copy,
+// overwritten by the next Emit, so emitting allocates nothing. The first
+// writer error is latched and stops further writes.
 func (p *Probe) Emit(e Event) {
 	p.counts[e.Kind].Inc()
 	if p.opts.Events == nil || p.err != nil {
 		return
 	}
-	if err := p.opts.Events.Write(&e); err != nil {
+	p.ev = e
+	if err := p.opts.Events.Write(&p.ev); err != nil {
 		p.err = err
 	}
 }

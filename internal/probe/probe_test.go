@@ -2,6 +2,7 @@ package probe
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -427,4 +428,31 @@ func TestPublishUnpublishCycles(t *testing.T) {
 		t.Fatalf("stale unpublish clobbered the live probe: got %v, want %v", lp, probes[1])
 	}
 	UnpublishLive(probes[1])
+}
+
+// TestEmitZeroAlloc locks Emit's allocation floor: the event reaches the
+// writer as the probe's own copy, so emitting allocates nothing with no
+// writer attached and nothing with the JSONL exporter's reused buffer.
+func TestEmitZeroAlloc(t *testing.T) {
+	cases := []struct {
+		name   string
+		events EventWriter
+	}{
+		{"no-writer", nil},
+		{"jsonl", NewJSONLWriter(io.Discard)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := New(Options{Metrics: true, Events: c.events})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Start(4, 0)
+			e := Event{T: 12.5, Kind: EvDispatch, Job: 42, Target: 3, Cause: "backoff", Attempt: 2, Value: 1.25, Mask: "1101"}
+			p.Emit(e) // grow the writer's buffer
+			if allocs := testing.AllocsPerRun(1000, func() { p.Emit(e) }); allocs != 0 {
+				t.Errorf("Emit allocates %v/op, want 0", allocs)
+			}
+		})
+	}
 }

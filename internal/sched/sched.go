@@ -137,6 +137,10 @@ type Static struct {
 	// lastUp remembers the most recent availability mask so a Replan can
 	// reapply it to the rebuilt dispatcher.
 	lastUp []bool
+	// upSpeeds and upIdx are resolveFractions' scratch: the surviving
+	// computers' speeds and indices.
+	upSpeeds []float64
+	upIdx    []int
 	// staleFallbacks counts up-set changes where the allocator could not
 	// produce a fresh split (degraded system saturated: ErrInfeasible, or
 	// any other allocator failure) and the policy fell back to the stale
@@ -367,6 +371,11 @@ func (s *Static) newDispatcher(fr []float64) (dispatch.Dispatcher, error) {
 	case RandomDispatch:
 		return dispatch.NewRandom(fr, s.dispatchRNG)
 	case RoundRobinDispatch:
+		// A rebuild resets the current dispatcher in place rather than
+		// allocating a new one; on error it is left unchanged.
+		if rr, ok := s.dispatcher.(*dispatch.RoundRobin); ok {
+			return rr, rr.Reset(fr)
+		}
 		return dispatch.NewRoundRobin(fr)
 	case CyclicDispatch:
 		return dispatch.NewCyclicWRR(fr, 1000)
@@ -507,8 +516,7 @@ func (s *Static) Replans() int64 { return s.replans }
 // adapt, and the counter makes the degradation observable.
 func (s *Static) resolveFractions(up []bool) []float64 {
 	speeds := s.ctx.Speeds
-	upSpeeds := make([]float64, 0, len(speeds))
-	idx := make([]int, 0, len(speeds))
+	upSpeeds, idx := s.upSpeeds[:0], s.upIdx[:0]
 	sumAll, sumUp := 0.0, 0.0
 	for i, sp := range speeds {
 		sumAll += sp
@@ -518,6 +526,7 @@ func (s *Static) resolveFractions(up []bool) []float64 {
 			sumUp += sp
 		}
 	}
+	s.upSpeeds, s.upIdx = upSpeeds, idx
 	rhoEff := s.ctx.Utilization * sumAll / sumUp
 	fr, err := s.Allocator.Allocate(upSpeeds, rhoEff)
 	if err != nil {

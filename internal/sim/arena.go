@@ -48,6 +48,7 @@ func (a *JobArena) Get() *Job {
 		a.next = 0
 	}
 	j := &a.chunks[len(a.chunks)-1][a.next]
+	j.slot = int32((len(a.chunks)-1)*jobChunkSize + a.next)
 	a.next++
 	j.heapIdx = -1
 	return j
@@ -65,13 +66,19 @@ func (a *JobArena) Put(j *Job) {
 		panic(fmt.Sprintf("sim: arena Put of job %d still at a server (heap index %d)", j.ID, j.heapIdx))
 	}
 	a.puts++
-	gen := j.gen
-	*j = Job{heapIdx: -1, gen: gen + 1}
+	*j = Job{heapIdx: -1, gen: j.gen + 1, slot: j.slot}
 	a.free = append(a.free, j)
 }
 
 // Live returns the number of jobs currently checked out of the arena.
 func (a *JobArena) Live() int64 { return a.gets - a.puts }
+
+// Slot returns the stable index of job object j among the arena's jobs:
+// distinct for every object the arena ever handed out, dense from 0, and
+// unchanged by recycling. Per-object state indexed by it — callbacks
+// bound once, say — is built once and reused by every job the object
+// carries. j must come from this arena.
+func (a *JobArena) Slot(j *Job) int { return int(j.slot) }
 
 // Ref returns a generation-checked weak handle to j.
 func (a *JobArena) Ref(j *Job) JobRef { return JobRef{j: j, gen: j.gen} }

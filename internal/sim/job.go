@@ -95,6 +95,9 @@ type Job struct {
 	// gen is the arena recycling generation; JobRef handles compare it to
 	// detect use-after-Put. Jobs not managed by a JobArena keep gen 0.
 	gen uint32
+	// slot is the job object's stable index in its arena (see
+	// JobArena.Slot); it survives recycling.
+	slot int32
 }
 
 // ResponseTime returns Completion − Arrival.

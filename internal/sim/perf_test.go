@@ -230,3 +230,23 @@ func TestJobArenaZeroAlloc(t *testing.T) {
 		t.Errorf("arena reports %d live jobs after balanced Get/Put", live)
 	}
 }
+
+// TestJobArenaSlot checks that Slot numbers the arena's job objects
+// densely from 0 and that recycling keeps an object's slot.
+func TestJobArenaSlot(t *testing.T) {
+	arena := NewJobArena()
+	jobs := make([]*Job, 300) // spans two chunks
+	for i := range jobs {
+		jobs[i] = arena.Get()
+		if s := arena.Slot(jobs[i]); s != i {
+			t.Fatalf("job object %d has slot %d", i, s)
+		}
+	}
+	arena.Put(jobs[7])
+	if j := arena.Get(); j != jobs[7] || arena.Slot(j) != 7 {
+		t.Errorf("recycled object has slot %d, want 7", arena.Slot(j))
+	}
+	if s := arena.Slot(arena.Get()); s != 300 {
+		t.Errorf("next new object has slot %d, want 300", s)
+	}
+}
